@@ -423,7 +423,7 @@ class TestPlannerParallelism:
         assert "--max-tp" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             plan_main(["--model", "mixtral", "--grad-accum", "0"])
-        assert "gradient-accumulation" in capsys.readouterr().err
+        assert "error: --grad-accum" in capsys.readouterr().err
 
 
 class TestDalyCadence:

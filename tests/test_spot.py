@@ -833,7 +833,7 @@ class TestSpotPlanCLI:
     def test_bad_flags_error_cleanly(self, capsys):
         with pytest.raises(SystemExit):
             plan_main(["--model", "mixtral", "--checkpoint-minutes", "0"])
-        assert "cadences must be" in capsys.readouterr().err
+        assert "error: --checkpoint-minutes" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             plan_main(["--model", "mixtral", "--mtbp-hours", "-2"])
         assert "mtbp-hours" in capsys.readouterr().err
@@ -845,7 +845,7 @@ class TestSpotPlanCLI:
         assert "trials" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             plan_main(["--model", "mixtral", "--checkpoint-minutes", "nan"])
-        assert "cadences must be" in capsys.readouterr().err
+        assert "error: --checkpoint-minutes" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             plan_main(["--model", "gpt2"])
         assert "unknown model" in capsys.readouterr().err
