@@ -8,26 +8,15 @@ substrate micro-benchmarks use normal pytest-benchmark statistics.
 The training-based experiments (Fig. 3, Fig. 11) default to their
 ``smoke`` scale so the whole suite stays tractable; set
 ``REPRO_SCALE=bench`` or ``REPRO_SCALE=full`` for larger runs.
-
-With ``$REPRO_RUN_STORE`` set, every ``BENCH_*.json`` artifact a
-benchmark (re)writes is also recorded into the run store as a synthetic
-run (``command="bench.<name>"``, the payload's ``*_seconds`` fields as
-phases), so bench trajectories are diffable with
-``python -m repro.telemetry.compare`` — opt-in, off by default.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from pathlib import Path
 
 import pytest
 
 from repro.scenarios import reset_default_cache
-from repro.telemetry import resolve_run_store
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -37,34 +26,6 @@ def fresh_scenario_cache():
     (experiments fall back to the shared default cache)."""
     reset_default_cache()
     yield
-
-
-def _bench_artifact_mtimes():
-    return {
-        path: path.stat().st_mtime_ns
-        for path in REPO_ROOT.glob("BENCH_*.json")
-    }
-
-
-@pytest.fixture(autouse=True)
-def record_bench_artifacts():
-    """Opt-in run-store recording: when ``$REPRO_RUN_STORE`` is set,
-    ingest every ``BENCH_*.json`` the test (re)wrote. Recording failures
-    never fail the benchmark — the artifact on disk stays the source of
-    truth."""
-    store = resolve_run_store()
-    if store is None:
-        yield
-        return
-    before = _bench_artifact_mtimes()
-    yield
-    for path, mtime_ns in sorted(_bench_artifact_mtimes().items()):
-        if before.get(path) == mtime_ns:
-            continue
-        try:
-            store.record_bench(path, timestamp=time.time())
-        except (ValueError, OSError):
-            continue
 
 
 def experiment_scale() -> str:

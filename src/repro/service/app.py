@@ -44,9 +44,8 @@ from ..planning import PlanRequest, RequestError
 from ..scenarios import SimulationCache, SingleFlight
 from ..scenarios.store import DiskTraceStore
 from ..serialization import dumps
-from ..telemetry.export import metric_events, telemetry_block, write_events
-from ..telemetry.manifest import build_manifest, grid_digest
-from ..telemetry.metrics import MetricsRegistry, merge_snapshots
+from ..telemetry.export import export_run
+from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.tracer import Tracer
 from .catalog import PricingCatalog
 
@@ -200,37 +199,18 @@ class PlanningService:
             "plan": plan.to_payload(),
         }
         if self._traced:
-            payload["telemetry"] = self._export_telemetry(
-                kind, request, tracer, after, planner
+            payload["telemetry"] = export_run(
+                f"repro.service.plan_{kind}",
+                request,
+                tracer,
+                self.cache,
+                grid=planner.last_grid,
+                snapshots=[self.metrics.snapshot()],
+                telemetry_out=self._telemetry_out,
+                run_store=self._run_store,
+                clock=self._clock,
             )
         return dumps(payload, indent=2)
-
-    def _export_telemetry(self, kind, request, tracer, stats, planner):
-        """Mirror ``finish_telemetry`` per request: manifest from the
-        cache's own accounting, JSONL rewrite, run-store ingest, and the
-        response's telemetry block."""
-        grid = planner.last_grid
-        snapshots = [self.cache.metrics.snapshot()]
-        store = self.cache.store
-        if store is not None and getattr(store, "metrics", None) is not None:
-            snapshots.append(store.metrics.snapshot())
-        snapshots.append(self.metrics.snapshot())
-        snapshot = merge_snapshots(*snapshots)
-        manifest = build_manifest(
-            f"repro.service.plan_{kind}",
-            request,
-            tracer,
-            stats,
-            grid=grid_digest(grid) if grid is not None else None,
-        )
-        if self._telemetry_out:
-            write_events(self._telemetry_out, tracer, snapshot, manifest)
-        if self._run_store is not None:
-            events = list(tracer.export())
-            events.extend(metric_events(snapshot))
-            events.append(manifest)
-            self._run_store.ingest_events(events, timestamp=self._clock())
-        return telemetry_block(tracer, snapshot, manifest)
 
     # ------------------------------------------------------------------
     def health_payload(self) -> Dict[str, object]:

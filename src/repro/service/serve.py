@@ -38,6 +38,9 @@ from .catalog import DEFAULT_TTL_SECONDS, PricingCatalog
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8423
+#: The largest request body read. A plan request is well under 1 KB;
+#: anything declaring more is a 413 and is never read.
+MAX_BODY_BYTES = 1 << 20
 
 _PLAN_PATHS = {"/plan/cluster": "cluster", "/plan/spot": "spot"}
 
@@ -56,16 +59,31 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
         pass
 
     # ------------------------------------------------------------------
-    def _send(self, status: int, body: str) -> None:
+    def _send(self, status: int, body: str, close: bool = False) -> None:
         data = body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close:
+            self.close_connection = True
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
-    def _send_error(self, status: int, message: str) -> None:
-        self._send(status, dumps({"error": message}, indent=2))
+    def _send_error(self, status: int, message: str, close: bool = False) -> None:
+        self._send(status, dumps({"error": message}, indent=2), close)
+
+    def _read_body(self) -> bytes:
+        """The request body, read only when its declared length is in
+        ``[0, MAX_BODY_BYTES]``; a non-integer length raises ValueError."""
+        length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            raise RequestError("Content-Length must not be negative")
+        if length > MAX_BODY_BYTES:
+            raise RequestError(
+                f"request body exceeds {MAX_BODY_BYTES} bytes", status=413
+            )
+        return self.rfile.read(length) if length > 0 else b""
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
@@ -82,9 +100,13 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
             self._send_error(404, f"unknown path {self.path!r}")
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length > 0 else b""
+            raw = self._read_body()
             body = json.loads(raw.decode("utf-8")) if raw else {}
+        except RequestError as exc:
+            # The body stays unread on the socket, so the connection
+            # cannot carry another request.
+            self._send_error(exc.status, str(exc), close=True)
+            return
         except (ValueError, UnicodeDecodeError):
             self._send_error(400, "request body is not valid JSON")
             return

@@ -47,7 +47,7 @@ from .cli import (
     finish_telemetry,
     telemetry_enabled,
 )
-from .export import metric_events, telemetry_block, write_events
+from .export import export_run, metric_events, telemetry_block, write_events
 from .manifest import build_manifest, grid_digest, repo_version, version_info
 from .metrics import (
     BUCKET_BOUNDS,
@@ -84,6 +84,7 @@ __all__ = [
     "begin_telemetry",
     "build_manifest",
     "default_tracer",
+    "export_run",
     "finish_telemetry",
     "grid_digest",
     "load_run",

@@ -32,12 +32,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import Dict, Optional
 
-from .export import metric_events, telemetry_block, write_events
-from .manifest import build_manifest, grid_digest
-from .metrics import merge_snapshots
+from .export import export_run
 from .runstore import resolve_run_store
 from .tracer import Tracer, default_tracer
 
@@ -82,46 +79,29 @@ def finish_telemetry(
     grid=None,
     stream=None,
 ) -> Optional[Dict[str, object]]:
-    """Close out a traced run: build the manifest from the cache's own
-    accounting, write the JSONL log (``--telemetry-out``), ingest the
-    run into the run store (``--run-store`` / ``$REPRO_RUN_STORE``,
-    stamped with the wall-clock at finish), print the phase tree
-    (``--telemetry``), and return the ``--json`` telemetry block — or
-    ``None`` when telemetry was never enabled.
-
-    ``cache`` is the run's :class:`SimulationCache`; its ``stats()`` are
-    the manifest's cache block (exactly), and its registry — plus the
-    attached store's, when persistence was on — supplies the metrics.
-    ``grid`` is the swept scenario grid (or ``None`` for runs without a
-    single grid); its digest is only computed here, after the enabled
-    check, so untraced runs never pay for it.
+    """Close out a traced run through :func:`export_run` — manifest,
+    ``--telemetry-out`` JSONL, and the run-store ingest
+    (``--run-store`` / ``$REPRO_RUN_STORE``, stamped with the wall-clock
+    at finish) — print the phase tree (``--telemetry``), and return the
+    ``--json`` telemetry block, or ``None`` when telemetry was never
+    enabled. ``cache`` is the run's :class:`SimulationCache` and
+    ``grid`` the swept scenario grid (or ``None`` for runs without a
+    single grid).
     """
     if not telemetry_enabled(args):
         return None
     tracer = default_tracer()
-    grid = grid_digest(grid) if grid is not None else None
-    snapshots = [cache.metrics.snapshot()]
-    store = getattr(cache, "store", None)
-    if store is not None and getattr(store, "metrics", None) is not None:
-        snapshots.append(store.metrics.snapshot())
-    metrics_snapshot = merge_snapshots(*snapshots)
-    manifest = build_manifest(
+    block = export_run(
         command,
         vars(args),
         tracer,
-        cache.stats(),
+        cache,
         grid=grid,
+        telemetry_out=getattr(args, "telemetry_out", None),
+        run_store=resolve_run_store(getattr(args, "run_store", None)),
     )
-    if getattr(args, "telemetry_out", None):
-        write_events(args.telemetry_out, tracer, metrics_snapshot, manifest)
-    run_store = resolve_run_store(getattr(args, "run_store", None))
-    if run_store is not None:
-        events = list(tracer.export())
-        events.extend(metric_events(metrics_snapshot))
-        events.append(manifest)
-        run_store.ingest_events(events, timestamp=time.time())
     if getattr(args, "telemetry", False):
         out = stream if stream is not None else sys.stderr
-        print(f"== telemetry: {command} ({manifest['version']}) ==", file=out)
+        print(f"== telemetry: {command} ({block['manifest']['version']}) ==", file=out)
         print(tracer.render_tree(), file=out)
-    return telemetry_block(tracer, metrics_snapshot, manifest)
+    return block

@@ -10,6 +10,9 @@ Three consumers, one event vocabulary (:mod:`repro.telemetry.schema`):
   default payloads stay byte-identical);
 * the tracer's own ``render_tree`` — the human-readable summary printed
   under ``--telemetry`` (to stderr, so piped ``--json`` stays clean).
+
+:func:`export_run` closes out one traced run — a CLI invocation or a
+service request — through the first two plus the run store.
 """
 
 from __future__ import annotations
@@ -17,9 +20,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from .manifest import build_manifest, grid_digest
+from .metrics import merge_snapshots
 from .tracer import Tracer
 
 
@@ -56,6 +62,20 @@ def telemetry_block(
     }
 
 
+def run_events(
+    tracer: Tracer,
+    metrics_snapshot: Dict[str, Dict[str, object]],
+    manifest: Optional[Dict[str, object]] = None,
+) -> List[Dict[str, object]]:
+    """A run's events in export order: spans in start order, then
+    metrics in name order, then the manifest."""
+    events: List[Dict[str, object]] = list(tracer.export())
+    events.extend(metric_events(metrics_snapshot))
+    if manifest is not None:
+        events.append(manifest)
+    return events
+
+
 def write_events(
     path: Union[str, Path],
     tracer: Tracer,
@@ -72,10 +92,7 @@ def write_events(
     non-serializable event raising partway through — never leaves a
     truncated JSONL at ``path``, and never clobbers a previous complete
     export with a partial one."""
-    events: List[Dict[str, object]] = list(tracer.export())
-    events.extend(metric_events(metrics_snapshot))
-    if manifest is not None:
-        events.append(manifest)
+    events = run_events(tracer, metrics_snapshot, manifest)
     path = Path(path)
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -95,3 +112,46 @@ def write_events(
             pass
         raise
     return len(events)
+
+
+def export_run(
+    command: str,
+    args: Dict[str, object],
+    tracer: Tracer,
+    cache,
+    grid=None,
+    snapshots: Sequence[Dict[str, Dict[str, object]]] = (),
+    telemetry_out: Optional[Union[str, Path]] = None,
+    run_store=None,
+    clock: Callable[[], float] = time.time,
+) -> Dict[str, object]:
+    """Close out one traced run and return its ``"telemetry"`` block.
+
+    The metrics are the cache's registry, the attached store's (when
+    persistence is on) and any caller ``snapshots``, merged in that
+    order. The manifest's cache block is exactly ``cache.stats()``;
+    ``grid`` is the swept scenario grid (or ``None``), digested only
+    here, so untraced runs never pay for it. The events go to
+    ``telemetry_out`` as JSONL when set, and into ``run_store`` (a
+    :class:`~repro.telemetry.runstore.RunStore`) stamped with
+    ``clock()`` when set.
+    """
+    merged = [cache.metrics.snapshot()]
+    store = getattr(cache, "store", None)
+    if store is not None and getattr(store, "metrics", None) is not None:
+        merged.append(store.metrics.snapshot())
+    metrics_snapshot = merge_snapshots(*merged, *snapshots)
+    manifest = build_manifest(
+        command,
+        args,
+        tracer,
+        cache.stats(),
+        grid=grid_digest(grid) if grid is not None else None,
+    )
+    if telemetry_out:
+        write_events(telemetry_out, tracer, metrics_snapshot, manifest)
+    if run_store is not None:
+        run_store.ingest_events(
+            run_events(tracer, metrics_snapshot, manifest), timestamp=clock()
+        )
+    return telemetry_block(tracer, metrics_snapshot, manifest)

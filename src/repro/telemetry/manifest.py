@@ -8,8 +8,7 @@ answered), the resolved
 CLI arguments, a digest of the scenario grid that was swept, the cache's
 provenance counters (exactly :meth:`SimulationCache.stats`, so a
 manifest can be cross-checked against the engine's own accounting), and
-per-phase wall-clock from the span tree. Benchmark trajectories like
-``BENCH_spot_planner.json`` become auditable once each run carries one.
+per-phase wall-clock from the span tree.
 """
 
 from __future__ import annotations

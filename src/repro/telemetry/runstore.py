@@ -21,36 +21,23 @@ appended line, and corrupt index lines read as skips, mirroring
 Resolution mirrors ``resolve_store()``: an explicit ``--run-store DIR``
 beats ``$REPRO_RUN_STORE`` beats "no store", uniformly via
 :func:`resolve_run_store` on all three CLIs.
-
-Benchmark artifacts join the same trajectory: :meth:`RunStore.record_bench`
-wraps a ``BENCH_*.json`` payload into a synthetic single-manifest run
-(``command="bench.<name>"``, the payload's ``*_seconds`` fields as
-phases), so ``python -m repro.telemetry.compare`` can diff bench runs
-exactly like CLI runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from .manifest import _json_arg, version_info
-from .schema import SCHEMA_VERSION, validate_event, validate_file
+from .schema import validate_event, validate_file
 
 ENV_RUN_STORE = "REPRO_RUN_STORE"
 INDEX_NAME = "index.jsonl"
 RUNS_DIR = "runs"
-
-_EMPTY_CACHE_BLOCK = {
-    "hits": 0, "disk_hits": 0, "misses": 0, "simulations": 0,
-    "risk_hits": 0, "risk_misses": 0, "entries": 0,
-}
 
 
 @dataclass(frozen=True)
@@ -191,42 +178,6 @@ class RunStore:
         if not known:
             self._append_index(record)
         return record
-
-    def record_bench(
-        self, path: Union[str, Path], timestamp: float
-    ) -> RunRecord:
-        """Record one ``BENCH_*.json`` artifact as a synthetic
-        single-manifest run: ``command="bench.<name>"``, the payload's
-        scalar fields as manifest args, and every finite ``*_seconds``
-        field as a phase — which makes bench trajectories diffable with
-        ``python -m repro.telemetry.compare`` exactly like CLI runs."""
-        path = Path(path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError(f"bench artifact {path} is not a JSON object")
-        stem = path.stem
-        name = stem[len("BENCH_"):] if stem.startswith("BENCH_") else stem
-        version, version_source = version_info()
-        phases = {
-            key: float(value)
-            for key, value in payload.items()
-            if key.endswith("_seconds")
-            and isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-        }
-        manifest = {
-            "type": "manifest",
-            "schema": SCHEMA_VERSION,
-            "version": version,
-            "version_source": version_source,
-            "command": f"bench.{name}",
-            "args": {key: _json_arg(value) for key, value in sorted(payload.items())},
-            "grid_digest": None,
-            "cache": dict(_EMPTY_CACHE_BLOCK),
-            "phases": phases,
-        }
-        return self.ingest_events([manifest], timestamp)
 
     # ------------------------------------------------------------------
     # Queries

@@ -340,6 +340,10 @@ class TestPlannerParallelism:
         assert auto.candidates
         assert not auto.skipped
         assert all(c.scenario.tensor_parallel >= 2 for c in auto.candidates)
+        # One sharded trace per TP degree priced: cluster sizes and
+        # interconnects share it, and the DP pass skipped before tracing.
+        degrees = {c.scenario.tensor_parallel for c in auto.candidates}
+        assert cache.stats().simulations == len(degrees)
         payload = auto.to_payload()
         assert payload["cheapest"]["tensor_parallel"] >= 2
         assert payload["cheapest"]["parallelism"].startswith("tp")
@@ -393,6 +397,13 @@ class TestPlannerParallelism:
         warm = planner.plan(**kwargs)
         assert cache.stats().simulations == simulations
         assert warm.to_payload() == cold.to_payload()
+        # A TP sweep at the largest degree priced, over every size, link
+        # and accumulation depth, rides the same sharded traces.
+        top = max(c.scenario.tensor_parallel for c in cold.candidates)
+        sweep = planner.plan(gpus=(A40,), providers=("cudo",), densities=(True,),
+                             parallelism="tp", max_tp=top, grad_accums=(1, 2, 4))
+        assert sweep.candidates
+        assert cache.stats().simulations == simulations
 
     def test_grad_accum_axis_shares_traces(self):
         cache = SimulationCache()

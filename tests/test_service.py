@@ -2,7 +2,9 @@
 cache bound, the TTL/stale-while-revalidate pricing catalog, request
 normalization, and the HTTP surface."""
 
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -24,7 +26,7 @@ from repro.service.app import (
     normalize_spot_request,
     request_digest,
 )
-from repro.service.serve import make_server
+from repro.service.serve import MAX_BODY_BYTES, make_server
 from repro.telemetry import validate_file
 from repro.telemetry.runstore import RunStore
 
@@ -643,3 +645,22 @@ class TestHTTP:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
         assert service.stats_payload()["requests"]["errors"] == 1
+
+    def test_body_length_bounds(self, served):
+        """An oversized declared body is a 413 answered without reading
+        it, a negative one a 400; both close the connection."""
+        base, service, _events, _runs = served
+        host, port = base[len("http://"):].rsplit(":", 1)
+        for length, status in ((MAX_BODY_BYTES + 1, 413), (-1, 400)):
+            with socket.create_connection((host, int(port)), timeout=10) as sock:
+                sock.sendall(
+                    f"POST /plan/cluster HTTP/1.1\r\nHost: {host}\r\n"
+                    f"Content-Length: {length}\r\n\r\n".encode("ascii")
+                )
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                assert response.status == status
+                assert response.getheader("Connection") == "close"
+                assert "error" in json.loads(response.read())
+                assert sock.recv(1) == b""  # the server hung up
+        assert service.stats_payload()["requests"]["total"] == 0

@@ -736,12 +736,17 @@ class TestRiskAdjustedPlanner:
         stats = cache.stats()
         assert stats.risk_misses > 0
         assert stats.risk_hits == 0  # every bundle was new
-        misses = stats.risk_misses
+        misses, simulations = stats.risk_misses, stats.simulations
         second = self._plan(self._planner(cache=cache))
         stats = cache.stats()
         assert stats.risk_misses == misses
         assert stats.risk_hits > 0
         assert second.to_payload() == first.to_payload()
+        # Neither the warm risk plan nor the on-demand plan it wraps
+        # simulates: both ride the replica traces the cold plan made.
+        ClusterPlanner("mixtral-8x7b", dataset="math14k", cache=cache).plan(
+            gpus=(A40, H100), providers=("cudo",), densities=(False,))
+        assert cache.stats().simulations == simulations
 
 
 class TestSpotPlanCLI:

@@ -222,7 +222,9 @@ class TestTieredCache:
 
     def test_warm_store_means_zero_simulations_for_a_whole_grid(self, tmp_path):
         store = DiskTraceStore(tmp_path)
-        SweepRunner(cache=SimulationCache(store=store)).run(GRID)
+        cold = SimulationCache(store=store)
+        SweepRunner(cache=cold).run(GRID)
+        assert (cold.stats().simulations, len(store)) == (len(GRID), len(GRID))
         warm = SimulationCache(store=store)
         points = SweepRunner(cache=warm).run(GRID)
         assert warm.stats().simulations == 0

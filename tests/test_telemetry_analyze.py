@@ -32,7 +32,6 @@ from repro.telemetry.analyze import (
     critical_path,
     latency_percentiles,
     self_time_table,
-    split_events,
 )
 from repro.telemetry.analyze import main as analyze_main
 from repro.telemetry.compare import (
@@ -300,20 +299,6 @@ class TestRunStore:
         assert store.records() == []
         assert store.latest() is None
         assert not (tmp_path / "never_written").exists()  # lazy: no mkdir
-
-    def test_record_bench_turns_seconds_fields_into_phases(self, tmp_path):
-        payload = {"plan_seconds": 0.5, "export_seconds": 0.002,
-                   "overhead_fraction": 0.01, "reps": 15,
-                   "flag": True}  # bool must not read as a numeric phase
-        bench = tmp_path / "BENCH_spot_planner.json"
-        bench.write_text(json.dumps(payload))
-        store = RunStore(tmp_path / "store")
-        record = store.record_bench(bench, timestamp=3.0)
-        assert record.command == "bench.spot_planner"
-        _, _, stored_manifest = split_events(store.load(record))
-        assert stored_manifest["phases"] == {"plan_seconds": 0.5,
-                                             "export_seconds": 0.002}
-        assert stored_manifest["args"]["reps"] == 15
 
     def test_resolve_run_store_flag_beats_env_beats_off(self, tmp_path,
                                                         monkeypatch):
