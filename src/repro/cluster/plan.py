@@ -4,15 +4,13 @@ Usage::
 
     python -m repro.cluster.plan --model mixtral --gpu a40 --deadline-hours 24 --json
     python -m repro.cluster.plan --model blackmamba --budget 50
-    python -m repro.cluster.plan --model mixtral --dataset openorca --jobs 4
+    python -m repro.cluster.plan --model mixtral --dataset openorca
     python -m repro.cluster.plan --model mixtral --density dense --gpu a40 \\
         --parallelism auto --max-tp 8 --grad-accum 1,4
-    python -m repro.cluster.plan --model mixtral --cache-dir ~/.cache/repro-traces \\
-        --executor process --jobs 4
+    python -m repro.cluster.plan --model mixtral --cache-dir ~/.cache/repro-traces
 
 Mirrors ``repro.experiments.report``: ``--json`` for machine-readable
-output, ``--jobs``/``--executor`` for parallel sweeps (order-independent
-by design — the plan is byte-identical at any job count and executor),
+output (the plan is byte-identical from run to run),
 ``--cache-dir`` (or ``$REPRO_CACHE_DIR``) for the disk-backed trace store
 that lets a plan answer in seconds without re-simulating the world, and
 the shared telemetry flags (``--telemetry``, ``--telemetry-out FILE``,

@@ -14,13 +14,21 @@ from .fitting import (
     collect_throughput_observations,
     observations_from_sweep,
 )
-from .throughput import ThroughputModel, ThroughputObservation, fit_dense_sparse
+from .throughput import (
+    MIN_OBSERVATIONS,
+    NUM_PARAMETERS,
+    ThroughputModel,
+    ThroughputObservation,
+    fit_dense_sparse,
+)
 
 __all__ = [
     "BatchSizeModel",
     "BatchSizeObservation",
     "CostEstimate",
     "FineTuningCostModel",
+    "MIN_OBSERVATIONS",
+    "NUM_PARAMETERS",
     "PAPER_BATCH_COEFFICIENTS",
     "ThroughputModel",
     "ThroughputObservation",

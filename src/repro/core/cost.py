@@ -22,7 +22,7 @@ from ..memory.estimator import EFFECTIVE_SEQ_LEN, max_batch_size
 from ..models.config import BlackMambaConfig, MixtralConfig
 from ..scenarios import Scenario, SimulationCache, resolve_cache
 from .fitting import collect_throughput_observations
-from .throughput import ThroughputModel
+from .throughput import MIN_OBSERVATIONS, ThroughputModel
 
 ModelConfig = Union[MixtralConfig, BlackMambaConfig]
 
@@ -76,16 +76,12 @@ class FineTuningCostModel:
         dense: bool = False,
         catalog: Optional[PriceCatalog] = None,
         cache: Optional[SimulationCache] = None,
-        jobs: int = 1,
-        executor: str = "thread",
     ) -> None:
         self.cfg = cfg
         self.seq_len = seq_len
         self.dense = dense
         self.catalog = catalog if catalog is not None else DEFAULT_CATALOG
         self.cache = resolve_cache(cache)
-        self.jobs = jobs
-        self.executor = executor
 
     @classmethod
     def for_dataset(
@@ -95,8 +91,6 @@ class FineTuningCostModel:
         dense: bool = False,
         catalog: Optional[PriceCatalog] = None,
         cache: Optional[SimulationCache] = None,
-        jobs: int = 1,
-        executor: str = "thread",
     ) -> "FineTuningCostModel":
         """Build a cost model using the dataset's padded sequence length."""
         if dataset_key not in EFFECTIVE_SEQ_LEN:
@@ -107,8 +101,6 @@ class FineTuningCostModel:
             dense=dense,
             catalog=catalog,
             cache=cache,
-            jobs=jobs,
-            executor=executor,
         )
 
     # ------------------------------------------------------------------
@@ -119,15 +111,13 @@ class FineTuningCostModel:
         instances."""
         def fit() -> ThroughputModel:
             dense_obs = collect_throughput_observations(
-                self.cfg, gpu, self.seq_len, dense=True, cache=self.cache,
-                jobs=self.jobs, executor=self.executor,
+                self.cfg, gpu, self.seq_len, dense=True, cache=self.cache
             )
             sparse_obs = collect_throughput_observations(
-                self.cfg, gpu, self.seq_len, dense=False, cache=self.cache,
-                jobs=self.jobs, executor=self.executor,
+                self.cfg, gpu, self.seq_len, dense=False, cache=self.cache
             )
             observations = dense_obs + sparse_obs
-            if len(observations) < 3:
+            if len(observations) < MIN_OBSERVATIONS:
                 raise RuntimeError(
                     f"not enough feasible batch sizes on {gpu.name} to fit Eq. 2"
                 )

@@ -29,6 +29,12 @@ from scipy.optimize import curve_fit
 
 FormName = Literal["exponent", "literal"]
 
+#: Eq. 2 has three free parameters (C2, C3, C4). A fit needs strictly
+#: more observations than that: through three points the curve passes
+#: exactly, so its RMSE is zero and validates nothing.
+NUM_PARAMETERS = 3
+MIN_OBSERVATIONS = NUM_PARAMETERS + 1
+
 
 @dataclass(frozen=True)
 class ThroughputObservation:
@@ -75,8 +81,11 @@ class ThroughputModel:
         form: FormName = "exponent",
     ) -> "ThroughputModel":
         """Fit (C2, C3, C4) as the paper does with scipy."""
-        if len(observations) < 3:
-            raise ValueError(f"need at least 3 observations, got {len(observations)}")
+        if len(observations) < MIN_OBSERVATIONS:
+            raise ValueError(
+                f"need at least {MIN_OBSERVATIONS} observations to identify Eq. 2's "
+                f"{NUM_PARAMETERS} parameters, got {len(observations)}"
+            )
         batch = np.array([o.batch_size for o in observations], dtype=float)
         sparsity = np.array([o.sparsity for o in observations], dtype=float)
         target = np.array([o.throughput_qps for o in observations], dtype=float)

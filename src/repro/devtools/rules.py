@@ -131,7 +131,7 @@ class NoWallClock(Rule):
         "Deterministic paths must take timestamps as arguments: the run "
         "store 'never reads the clock' (run ids are functions of their "
         "inputs, so tests and replays are deterministic), and results "
-        "must be byte-identical at any --jobs/--executor. Only the "
+        "must depend only on the work performed. Only the "
         "measurement layer (telemetry, profiling, training.trainer) may "
         "call time.time()/perf_counter()/datetime.now()."
     )

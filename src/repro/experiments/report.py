@@ -5,8 +5,6 @@ Usage::
 
     python -m repro.experiments.report             # fast artifacts only
     python -m repro.experiments.report --training  # include Fig. 3 / Fig. 11
-    python -m repro.experiments.report --jobs 4    # parallel sweeps
-    python -m repro.experiments.report --jobs 4 --executor process
     python -m repro.experiments.report --cache-dir ~/.cache/repro-traces
     python -m repro.experiments.report --json      # machine-readable output
 
@@ -15,9 +13,8 @@ measured values next to the paper's published numbers. All simulation
 flows through the shared scenario cache, so a second report pass in the
 same process performs zero redundant ``simulate_step`` calls — and with
 ``--cache-dir`` (or ``$REPRO_CACHE_DIR``) the cache gains a disk tier,
-so a second report *process* starts warm too. ``--executor process``
-fans the sweeps over a process pool whose workers share that store; the
-report is byte-identical at any job count and executor.
+so a second report *process* starts warm too. The report is
+byte-identical whether it starts cold or warm.
 
 ``--telemetry``/``--telemetry-out``/``--run-store`` trace the run
 (phase tree, JSONL event log, append-only run store for
@@ -28,7 +25,6 @@ report is byte-identical at any job count and executor.
 from __future__ import annotations
 
 import argparse
-import inspect
 from typing import Any, Dict, List
 
 from ..scenarios import default_cache, resolve_store
@@ -46,19 +42,9 @@ from .common import ExperimentResult
 TRAINING_EXPERIMENTS = ("fig3", "fig11")
 
 
-def _run_module(module, **kwargs) -> ExperimentResult:
-    """Call ``module.run`` with only the kwargs its signature accepts, so
-    engine knobs (``jobs``) reach the refactored experiments without
-    forcing every module onto one signature."""
-    parameters = inspect.signature(module.run).parameters
-    return module.run(**{k: v for k, v in kwargs.items() if k in parameters})
-
-
 def collect_results(
     include_training: bool = False,
     scale: str = "smoke",
-    jobs: int = 1,
-    executor: str = "thread",
 ) -> Dict[str, ExperimentResult]:
     """Execute the suite; training artifacts only when requested."""
     results: Dict[str, ExperimentResult] = {}
@@ -68,27 +54,19 @@ def collect_results(
             if key in TRAINING_EXPERIMENTS and not include_training:
                 continue
             with tracer.span(f"experiment.{key}"):
-                results[key] = _run_module(
-                    module, scale=scale, jobs=jobs, executor=executor
-                )
+                if key in TRAINING_EXPERIMENTS:
+                    results[key] = module.run(scale=scale)
+                else:
+                    results[key] = module.run()
     return results
 
 
 def report_payload(
     include_training: bool = False,
     scale: str = "smoke",
-    jobs: int = 1,
-    executor: str = "thread",
 ) -> Dict[str, Any]:
-    """The report as a JSON-serializable structure (``--json``).
-
-    Everything in the payload is independent of ``jobs`` and
-    ``executor`` (cache telemetry included — process-pool sweeps replay
-    their accounting in grid order), so the JSON report is byte-identical
-    at any parallelism setting.
-    """
-    results = collect_results(include_training=include_training, scale=scale,
-                              jobs=jobs, executor=executor)
+    """The report as a JSON-serializable structure (``--json``)."""
+    results = collect_results(include_training=include_training, scale=scale)
     experiments = []
     for key, result in results.items():
         experiments.append(
@@ -119,12 +97,9 @@ def report_payload(
 def run_report(
     include_training: bool = False,
     scale: str = "smoke",
-    jobs: int = 1,
-    executor: str = "thread",
 ) -> str:
     """Execute experiments and return the combined report text."""
-    results = collect_results(include_training=include_training, scale=scale,
-                              jobs=jobs, executor=executor)
+    results = collect_results(include_training=include_training, scale=scale)
     sections: List[str] = []
     for key in ALL_EXPERIMENTS:
         if key not in results:
@@ -151,13 +126,6 @@ def main(argv: List[str] | None = None) -> int:
                         help="also run the training-based experiments (Fig. 3, Fig. 11)")
     parser.add_argument("--scale", default="smoke", choices=("smoke", "bench", "full"),
                         help="size preset for the training experiments")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="sweep workers (default 1); with --executor thread "
-                             "gains are GIL-limited, with --executor process the "
-                             "sweeps use real cores")
-    parser.add_argument("--executor", choices=("thread", "process"), default="thread",
-                        help="sweep executor for --jobs > 1 (default: thread); "
-                             "process workers share the --cache-dir store")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="disk-backed trace store; report runs start warm from "
                              "it and warm it for the next run (default: "
@@ -171,15 +139,13 @@ def main(argv: List[str] | None = None) -> int:
     default_cache().attach_store(resolve_store(args.cache_dir))
     begin_telemetry(args)
     if args.as_json:
-        payload = report_payload(include_training=args.training, scale=args.scale,
-                                 jobs=args.jobs, executor=args.executor)
+        payload = report_payload(include_training=args.training, scale=args.scale)
         block = finish_telemetry(args, "repro.experiments.report", default_cache())
         if block is not None:
             payload["telemetry"] = block
         print(dumps(payload, indent=2))
     else:
-        print(run_report(include_training=args.training, scale=args.scale,
-                         jobs=args.jobs, executor=args.executor))
+        print(run_report(include_training=args.training, scale=args.scale))
         finish_telemetry(args, "repro.experiments.report", default_cache())
     return 0
 

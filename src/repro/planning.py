@@ -356,14 +356,13 @@ class PlanRequest:
             for name, value in self.values.items()
         }
 
-    def run(self, cache=None, catalog=None, tracer=None, jobs: int = 1, executor: str = "thread"):
+    def run(self, cache=None, catalog=None, tracer=None):
         """Plan the request: ``(planner, plan)``. ``None`` picks each
         planner default (process-global cache and tracer, built-in
         price catalog)."""
         v = self.values
         common = dict(dataset=v["dataset"], epochs=v["epochs"], num_queries=v["num_queries"],
-                      seq_len=v["seq_len"], catalog=catalog, cache=cache, jobs=jobs,
-                      executor=executor, tracer=tracer)
+                      seq_len=v["seq_len"], catalog=catalog, cache=cache, tracer=tracer)
         sweep = dict(
             gpus=v["gpu"], providers=v["provider"], num_gpus=tuple(v["num_gpus"]),
             interconnects=tuple(v["interconnect"]), densities=DENSITY_AXES[v["density"]],
@@ -388,23 +387,29 @@ class PlanRequest:
 # The plan CLIs
 # ---------------------------------------------------------------------------
 
+def _row_count(text: str) -> int:
+    """``--top``'s type: a whole number of rows, zero or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a whole number, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser(kind: str, description: Optional[str] = None) -> argparse.ArgumentParser:
     """``python -m repro.{kind}.plan``'s parser: the kind's request
     fields, then the engine, telemetry and output flags."""
     parser = argparse.ArgumentParser(prog=f"python -m repro.{kind}.plan", description=description)
     for field in KINDS[kind]:
         field.add_to(parser)
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="sweep workers (plan output is identical at any job count)")
-    parser.add_argument("--executor", choices=("thread", "process"), default="thread",
-                        help="sweep executor for --jobs > 1 (default: thread); "
-                             "process workers share the --cache-dir store")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="disk-backed trace store; a pre-populated store makes "
                              "the plan simulate nothing (default: $REPRO_CACHE_DIR "
                              "if set, else no persistence)")
     add_telemetry_arguments(parser)
-    parser.add_argument("--top", type=int, default=10,
+    parser.add_argument("--top", type=_row_count, default=10, metavar="N",
                         help="frontier rows in the text table (default: 10)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the plan as JSON instead of a table")
@@ -417,9 +422,7 @@ def run_cli(kind: str, argv: Optional[List[str]], description: str,
     own ``resolve_plan_cache`` and ``dumps``, looked up when it runs."""
     request, args = PlanRequest.from_args(kind, argv, description)
     begin_telemetry(args)
-    planner, plan = request.run(
-        cache=resolve_cache(args.cache_dir), jobs=args.jobs, executor=args.executor
-    )
+    planner, plan = request.run(cache=resolve_cache(args.cache_dir))
     block = finish_telemetry(args, f"repro.{kind}.plan", planner.cache, grid=planner.last_grid)
     if args.as_json:
         payload = plan.to_payload()

@@ -14,9 +14,8 @@ sweep a first-class object:
 * :class:`DiskTraceStore` — persistent traces keyed by
   :meth:`Scenario.digest` (sha256 of the canonical scenario text), with
   versioned entries, atomic writes and corruption tolerance;
-* :class:`SweepRunner` — deterministic (optionally parallel) grid
-  execution feeding experiment results; ``executor="process"`` fans
-  grids out over a process pool whose workers warm the shared store.
+* :class:`SweepRunner` — deterministic, serial grid execution feeding
+  experiment results.
 
 Every experiment, the Eq. 2 fitting helpers and the cost model run their
 sweeps through this engine, so one process simulates each distinct point

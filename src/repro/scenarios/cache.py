@@ -38,8 +38,7 @@ from .scenario import ModelConfig, Scenario, freeze_overrides
 from .singleflight import InFlightMap
 from .store import DiskTraceStore
 
-# Provenance of a fetched trace (also reported by process-pool workers so
-# the parent can replay the lookup accounting deterministically).
+# Provenance of a fetched trace: which tier answered the lookup.
 MEMORY = "memory"
 DISK = "disk"
 SIMULATED = "simulated"
@@ -98,9 +97,10 @@ class CacheStats:
 class SimulationCache:
     """Memoizes :meth:`GPUSimulator.simulate_step` traces by scenario key.
 
-    Thread-safe: a sweep running with ``jobs > 1`` shares one cache. Each
-    simulator instance is also cached per GPU spec so repeated sweeps on
-    the same hardware reuse one simulator.
+    Thread-safe: the planning service's request threads share one cache,
+    and concurrent misses on one key simulate once. Each simulator
+    instance is also cached per GPU spec so repeated sweeps on the same
+    hardware reuse one simulator.
 
     Scenario subclasses that extend the space with axes the per-device
     step does not depend on (``repro.cluster.ClusterScenario``'s
@@ -151,9 +151,7 @@ class SimulationCache:
         self._risk_misses = self.metrics.counter("cache.risk_misses")
         self._evictions = self.metrics.counter("cache.evictions")
         # Per-source fetch latency: how long a lookup took depending on
-        # which tier answered it. Process-pool sweeps replay worker
-        # observations through adopt(), so the *counts* (though not the
-        # durations) are independent of --jobs/--executor.
+        # which tier answered it.
         self._fetch_seconds = {
             MEMORY: self.metrics.histogram("cache.fetch.memory_seconds"),
             DISK: self.metrics.histogram("cache.fetch.disk_seconds"),
@@ -246,8 +244,9 @@ class SimulationCache:
         and a simulated trace is written back to the store (when one is
         attached), so both warm every later consumer. Concurrent misses
         on the same key collapse: one thread resolves the tail tiers
-        while the others wait on the in-flight marker, so duplicate
-        points in a parallel sweep never run ``simulate_step`` twice.
+        while the others wait on the in-flight marker, so concurrent
+        service requests sharing a point never run ``simulate_step``
+        twice.
         """
         started = time.perf_counter()  # repro: allow[no-wall-clock] telemetry latency measurement
         key = scenario.key()
@@ -304,49 +303,6 @@ class SimulationCache:
             with self._lock:
                 self._inflight_traces.release(key)
             event.set()
-
-    def adopt(
-        self,
-        scenario: Scenario,
-        trace: StepTrace,
-        source: str,
-        seconds: Optional[float] = None,
-    ) -> StepTrace:
-        """Install a trace resolved by a process-pool worker, replaying
-        the accounting of the tier the worker hit (``source``): a key
-        already in memory counts a hit (and keeps the resident trace, for
-        identity stability); otherwise the worker's disk hit or
-        simulation is counted here exactly as a local lookup would have
-        been — which is what keeps ``--executor process`` reports
-        byte-identical to serial runs, cache telemetry included.
-
-        ``seconds`` is the worker's measured fetch latency; it is
-        replayed into the tier's latency histogram so the observation
-        *counts* match a serial run exactly (the durations are the
-        worker's own — wall-clock is the one thing replay cannot fake).
-        """
-        started = time.perf_counter()  # repro: allow[no-wall-clock] telemetry latency measurement
-        key = scenario.key()
-        with self._lock:
-            existing = self._traces.get(key)
-            if existing is not None:
-                self._touch(key)
-                self._hits.inc()
-                self._fetch_seconds[MEMORY].observe(time.perf_counter() - started)  # repro: allow[no-wall-clock] telemetry latency measurement
-                return existing
-            evicted = self._install(key, scenario, trace)
-            if source == DISK:
-                self._disk_hits.inc()
-            else:
-                self._misses.inc()
-                if source == SIMULATED:
-                    self._simulations.inc()
-        self._spill(evicted)
-        tier = source if source in self._fetch_seconds else SIMULATED
-        self._fetch_seconds[tier].observe(
-            seconds if seconds is not None else time.perf_counter() - started  # repro: allow[no-wall-clock] telemetry latency measurement
-        )
-        return trace
 
     def trace(
         self,

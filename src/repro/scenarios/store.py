@@ -15,9 +15,10 @@ Contract:
   canonical text it was written for; a version bump (or the astronomically
   unlikely digest collision) reads as a miss, never as a wrong trace.
 * **Atomic writes.** Entries are written to a temporary file in the store
-  directory and ``os.replace``d into place, so concurrent writers (the
-  process-pool sweep workers) and readers never observe a half-written
-  entry — the worst race outcome is one redundant simulation.
+  directory and ``os.replace``d into place, so concurrent writers (two
+  CLI processes, or a CLI and the service) and readers never observe a
+  half-written entry — the worst race outcome is one redundant
+  simulation.
 * **Corruption tolerance.** A truncated, garbled or foreign file is a
   miss: :meth:`get` re-simulates, it never crashes the run.
 

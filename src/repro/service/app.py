@@ -110,8 +110,6 @@ class PlanningService:
         capacity: Optional[int] = None,
         store: Optional[DiskTraceStore] = None,
         pricing: Optional[PricingCatalog] = None,
-        jobs: int = 1,
-        executor: str = "thread",
         telemetry: bool = False,
         telemetry_out: Optional[str] = None,
         run_store=None,
@@ -124,8 +122,6 @@ class PlanningService:
         self.cache = cache
         self.pricing = pricing if pricing is not None else PricingCatalog()
         self.flight = SingleFlight()
-        self._jobs = jobs
-        self._executor = executor
         self._telemetry_out = telemetry_out
         self._run_store = run_store
         self._traced = bool(telemetry or telemetry_out or run_store is not None)
@@ -177,9 +173,7 @@ class PlanningService:
         tracer = Tracer(enabled=self._traced)
         before = self.cache.stats()
         with tracer.span("service.request", kind=kind, digest=digest[:16]):
-            planner, plan = PlanRequest(kind, request).run(
-                self.cache, catalog, tracer, self._jobs, self._executor
-            )
+            planner, plan = PlanRequest(kind, request).run(self.cache, catalog, tracer)
         after = self.cache.stats()
         payload = {
             "kind": kind,

@@ -152,11 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="LRU bound on resident traces and derived results "
                              "(evictions fall back to --cache-dir when set; "
                              "default: unbounded)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="sweep workers per request (plan output is "
-                             "identical at any job count)")
-    parser.add_argument("--executor", choices=("thread", "process"), default="thread",
-                        help="sweep executor for --jobs > 1 (default: thread)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="disk-backed trace store shared with the plan CLIs "
                              "(default: $REPRO_CACHE_DIR if set, else none)")
@@ -192,8 +187,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             pricing=PricingCatalog(
                 feed=args.pricing_feed, ttl_seconds=args.pricing_ttl
             ),
-            jobs=args.jobs,
-            executor=args.executor,
             telemetry=args.telemetry,
             telemetry_out=args.telemetry_out,
             run_store=resolve_run_store(args.run_store),

@@ -4,14 +4,13 @@ Usage::
 
     python -m repro.spot.plan --model mixtral --gpu a40 --deadline-hours 24 --confidence 0.95 --json
     python -m repro.spot.plan --model mixtral --mtbp-hours 2 --checkpoint-minutes 10,30,60
-    python -m repro.spot.plan --model blackmamba --spot only --budget 50 --jobs 4
+    python -m repro.spot.plan --model blackmamba --spot only --budget 50
 
 Mirrors ``python -m repro.cluster.plan`` (same model/GPU resolution, same
-``--json``/``--jobs``/``--executor``/``--cache-dir`` contract plus the
-telemetry flags ``--telemetry``/``--telemetry-out``/``--run-store``,
-the last feeding the run store that
-``python -m repro.telemetry.analyze``/``compare`` consume — output is
-byte-identical at any job count and executor, Monte Carlo seeds included,
+``--json``/``--cache-dir`` contract plus the telemetry flags
+``--telemetry``/``--telemetry-out``/``--run-store``, the last feeding the
+run store that ``python -m repro.telemetry.analyze``/``compare`` consume
+— output is byte-identical from run to run, Monte Carlo seeds included,
 and a pre-populated trace store makes the plan simulate nothing) and adds
 the risk knobs: ``--spot``
 selects the tiers, ``--risk-mode`` the percentile engine (``analytic``,

@@ -9,8 +9,7 @@ through the scenario engine, both planners and the three CLIs:
 
 * :class:`Tracer` / :class:`Span` — nested timed phases with a
   context-manager API and a process-global default (disabled until a
-  CLI's ``--telemetry`` flag turns it on), plus deterministic
-  reassembly of process-pool workers' spans;
+  CLI's ``--telemetry`` flag turns it on);
 * :class:`MetricsRegistry` — named counters/gauges/histograms; the
   simulation cache's ``CacheStats`` counters are stored here now, and
   fetch/memoize latencies land in per-source histograms;

@@ -68,9 +68,9 @@ class SpanNode:
     @property
     def self_seconds(self) -> float:
         """Wall-clock not explained by any child: duration minus the sum
-        of child durations. Exact, unclamped — overlapping worker spans
-        adopted under one parent can push it negative, which is itself
-        a signal (the children ran concurrently)."""
+        of child durations. Exact, unclamped — overlapping children
+        (spans opened on concurrent threads under one parent) can push
+        it negative, which is itself a signal."""
         return self.duration_s - self.child_seconds
 
 

@@ -8,6 +8,10 @@ import pytest
 from repro.data import build_benchmark_suite, build_pretraining_corpus
 
 
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: end-to-end training runs (tens of seconds)")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -121,9 +121,9 @@ class TestClusterProduct:
 
 
 class TestParetoFrontier:
-    def _plan(self, cache=None, jobs=1, **kw):
+    def _plan(self, cache=None, **kw):
         planner = ClusterPlanner(
-            "mixtral-8x7b", dataset="math14k", cache=cache or SimulationCache(), jobs=jobs
+            "mixtral-8x7b", dataset="math14k", cache=cache or SimulationCache()
         )
         kw.setdefault("gpus", (A40, H100))
         kw.setdefault("providers", ("cudo",))
@@ -197,12 +197,15 @@ class TestParetoFrontier:
 
 class TestPlannerDeterminismAndReuse:
     def test_jobs_do_not_change_the_plan(self):
+        """A cold plan, its warm repeat on the same cache and a plan on
+        a fresh cache are identical: the sweep has one execution path."""
+        cache = SimulationCache()
         plans = [
-            TestParetoFrontier()._plan(jobs=jobs, deadline_hours=24.0)
-            for jobs in (1, 4)
+            TestParetoFrontier()._plan(cache=c, deadline_hours=24.0)
+            for c in (cache, cache, SimulationCache())
         ]
-        serial, parallel = (p.to_payload() for p in plans)
-        assert serial == parallel
+        cold, warm, fresh = (p.to_payload() for p in plans)
+        assert cold == warm == fresh
         assert [c.label for c in plans[0].candidates] == [
             c.label for c in plans[1].candidates
         ]
@@ -283,12 +286,13 @@ class TestPlanCLI:
         assert hours == sorted(hours)  # frontier is fastest-first
 
     def test_jobs_flag_does_not_change_output(self, capsys):
+        """A repeat run in the same process prints the same frontier."""
         base = ["--model", "mixtral", "--gpu", "a40", "--json"]
         assert plan_main(base) == 0
-        serial = capsys.readouterr().out
-        assert plan_main(base + ["--jobs", "4"]) == 0
-        parallel = capsys.readouterr().out
-        assert json.loads(serial)["frontier"] == json.loads(parallel)["frontier"]
+        first = capsys.readouterr().out
+        assert plan_main(base) == 0
+        second = capsys.readouterr().out
+        assert json.loads(first)["frontier"] == json.loads(second)["frontier"]
 
     def test_text_output_names_recommendation(self, capsys):
         assert plan_main(["--model", "mixtral", "--gpu", "a40",
@@ -309,6 +313,18 @@ class TestPlanCLI:
         with pytest.raises(SystemExit):
             plan_main(["--model", "mixtral", "--num-gpus", "two"])
         assert "error: --num-gpus" in capsys.readouterr().err
+
+    def test_negative_top_errors_cleanly(self, capsys):
+        for bad in ("-2", "two"):
+            with pytest.raises(SystemExit) as exit_info:
+                plan_main(["--model", "mixtral", "--gpu", "a40", "--top", bad])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert "argument --top" in err and "Traceback" not in err
+        # Zero rows is allowed: the header alone, then the elided count.
+        assert plan_main(["--model", "mixtral", "--gpu", "a40", "--top", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "mixtral_math14k" not in out.split("more frontier points")[0]
 
 
 class TestClusterExperiment:

@@ -6,6 +6,8 @@ import pytest
 from repro.core import (
     BatchSizeModel,
     BatchSizeObservation,
+    MIN_OBSERVATIONS,
+    NUM_PARAMETERS,
     PAPER_BATCH_COEFFICIENTS,
     ThroughputModel,
     ThroughputObservation,
@@ -142,6 +144,17 @@ class TestThroughputModelEq2:
     def test_fit_needs_three_points(self):
         with pytest.raises(ValueError):
             ThroughputModel.fit([ThroughputObservation(1, 1.0, 0.5)] * 2)
+
+    def test_fit_needs_more_points_than_parameters(self):
+        """Three points cannot identify three parameters: the curve would
+        pass through all of them and report a perfect RMSE."""
+        truth = ThroughputModel(c2=0.8, c3=0.5, c4=0.3)
+        points = [ThroughputObservation(b, s, truth.predict(b, s))
+                  for b, s in ((1, 1.0), (1, 0.25), (2, 0.25), (4, 0.25))]
+        assert MIN_OBSERVATIONS == NUM_PARAMETERS + 1 == 4
+        with pytest.raises(ValueError, match="identify"):
+            ThroughputModel.fit(points[:3])
+        assert ThroughputModel.fit(points).rmse(points) < 1e-6
 
     def test_fit_on_simulator_rmse_paper_scale(self):
         """Fig. 14: paper RMSEs are 0.02-0.79; ours must be comparable."""

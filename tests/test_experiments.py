@@ -160,6 +160,18 @@ class TestFig14And15:
             value = result.row(f"{gpu}_rmse").measured
             assert math.isnan(value) or value < 1.1
 
+    def test_underdetermined_fit_reports_no_rmse(self):
+        """A100-40GB has one dense and two sparse points: too few to
+        identify Eq. 2's three parameters, so no RMSE and no C2."""
+        result = fig15_fit_gpus.run()
+        row = result.row("A100-40GB_rmse")
+        assert math.isnan(row.measured)
+        assert row.note == "3 points cannot identify Eq. 2's 3 parameters"
+        assert result.row("A100-40GB_max_sparse_batch").measured == 2
+        assert "A100-40GB_c2" not in [r.label for r in result.rows]
+        for gpu in ("A100-80GB", "H100-80GB"):
+            assert math.isfinite(result.row(f"{gpu}_rmse").measured)
+
 
 class TestTable4:
     def test_costs_match_paper(self):

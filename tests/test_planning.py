@@ -233,7 +233,7 @@ class TestCanonicalForm:
             "density", "batch_size", "parallelism", "max_tp", "grad_accum",
             "epochs", "num_queries", "seq_len", "deadline_hours", "budget_dollars",
             "spot", "mtbp_hours", "checkpoint_minutes", "confidence", "risk_mode",
-            "trials", "seed", "jobs", "executor", "cache_dir", "telemetry",
+            "trials", "seed", "cache_dir", "telemetry",
             "telemetry_out", "run_store", "top", "as_json",
         }
 

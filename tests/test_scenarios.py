@@ -1,6 +1,9 @@
 """Tests for the scenario engine: scenario identity, grid building,
-cache accounting, parallel determinism, and regression equivalence of the
+cache accounting, sweep determinism, and regression equivalence of the
 refactored experiments against the seed (direct-simulator) path."""
+
+import sys
+import threading
 
 import pytest
 
@@ -329,24 +332,47 @@ class TestSweepRunner:
     )
 
     def test_parallel_matches_serial_in_order_and_values(self):
-        serial = SweepRunner(cache=SimulationCache(), jobs=1).run(self.GRID)
-        parallel = SweepRunner(cache=SimulationCache(), jobs=4).run(self.GRID)
-        assert [p.label for p in parallel] == [p.label for p in serial]
-        assert [p.queries_per_second for p in parallel] == [
-            p.queries_per_second for p in serial
+        """A cold sweep and its warm rerun return the grid in order with
+        equal values."""
+        runner = SweepRunner(cache=SimulationCache())
+        cold = runner.run(self.GRID)
+        warm = runner.run(self.GRID)
+        assert [p.label for p in cold] == [s.label() for s in self.GRID]
+        assert [p.label for p in warm] == [p.label for p in cold]
+        assert [p.queries_per_second for p in warm] == [
+            p.queries_per_second for p in cold
         ]
-        assert [p.index for p in parallel] == list(range(len(self.GRID)))
+        assert [p.index for p in warm] == list(range(len(self.GRID)))
 
     def test_parallel_duplicates_collapse_in_cache(self):
+        """Four threads request every point at the same moment, as
+        concurrent service requests would."""
+        threads_n = 4
         cache = SimulationCache()
-        doubled = self.GRID + self.GRID
-        SweepRunner(cache=cache, jobs=4).run(doubled)
+        together = threading.Barrier(threads_n, timeout=30)
+
+        def worker() -> None:
+            for scenario in self.GRID:
+                together.wait()
+                cache.simulate(scenario)
+
+        threads = [threading.Thread(target=worker) for _ in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the lookups finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         stats = cache.stats()
         assert stats.entries == len(self.GRID)
         # In-flight dedup: concurrent misses on one key simulate once, so
         # the miss count equals the distinct points, not the lookups.
-        assert stats.misses == len(self.GRID)
-        assert stats.hits == len(self.GRID)
+        assert stats.misses == stats.simulations == len(self.GRID)
+        assert stats.hits == (threads_n - 1) * len(self.GRID)
 
     def test_to_result_feeds_rows(self):
         result = SweepRunner(cache=SimulationCache()).to_result(
@@ -436,10 +462,12 @@ class TestRegressionAgainstSeed:
         assert [(r.label, r.measured) for r in result.rows[: len(seed_rows)]] == seed_rows
 
     def test_fig8_parallel_identical(self):
-        serial = fig8_throughput.run(cache=SimulationCache(), jobs=1)
-        parallel = fig8_throughput.run(cache=SimulationCache(), jobs=4)
-        assert [(r.label, r.measured) for r in serial.rows] == [
-            (r.label, r.measured) for r in parallel.rows
+        """Fig. 8 on a cold cache and again on the warm one is identical."""
+        cache = SimulationCache()
+        cold = fig8_throughput.run(cache=cache)
+        warm = fig8_throughput.run(cache=cache)
+        assert [(r.label, r.measured) for r in cold.rows] == [
+            (r.label, r.measured) for r in warm.rows
         ]
 
     def test_table3_cells_exact(self):

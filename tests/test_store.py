@@ -1,7 +1,7 @@
-"""Tests for the persistence + parallelism layer of the scenario engine:
-canonical scenario digests, the disk-backed trace store (atomicity,
-versioning, corruption tolerance), the tiered cache, the process-pool
-sweep executor, and the CLIs' --cache-dir / --executor contract."""
+"""Tests for the persistence layer of the scenario engine: canonical
+scenario digests, the disk-backed trace store (atomicity, versioning,
+corruption tolerance), the tiered cache, and the CLIs' --cache-dir
+contract."""
 
 import json
 import os
@@ -10,8 +10,6 @@ import shutil
 import subprocess
 import sys
 import threading
-
-import pytest
 
 from repro.cluster import ClusterScenario
 from repro.cluster.plan import main as cluster_plan_main
@@ -27,7 +25,6 @@ from repro.scenarios import (
     resolve_store,
 )
 from repro.scenarios.store import FORMAT_VERSION
-from repro.serialization import dumps
 from repro.spot.plan import main as spot_plan_main
 
 
@@ -240,57 +237,6 @@ class TestTieredCache:
         assert cache.stats().disk_hits == 1
 
 
-class TestProcessExecutor:
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError):
-            SweepRunner(executor="fork-bomb")
-
-    def test_process_pool_matches_thread_pool_bytes_and_accounting(self):
-        serial_cache = SimulationCache()
-        serial = SweepRunner(cache=serial_cache, jobs=1).run(GRID)
-        process_cache = SimulationCache()
-        process = SweepRunner(cache=process_cache, jobs=2, executor="process").run(GRID)
-        as_bytes = lambda points: dumps(
-            [(p.index, p.label, p.total_seconds, p.queries_per_second) for p in points]
-        )
-        assert as_bytes(process) == as_bytes(serial)
-        # Replayed accounting is indistinguishable from the serial run.
-        assert process_cache.stats() == serial_cache.stats()
-
-    def test_process_pool_replays_duplicate_hits_in_grid_order(self):
-        # Dispatch is deduplicated by key, so a doubled grid costs the
-        # workers (and the counters) exactly what the serial run pays.
-        doubled = GRID + GRID
-        serial_cache = SimulationCache()
-        SweepRunner(cache=serial_cache, jobs=1).run(doubled)
-        process_cache = SimulationCache()
-        SweepRunner(cache=process_cache, jobs=2, executor="process").run(doubled)
-        assert process_cache.stats() == serial_cache.stats()
-        assert process_cache.stats().simulations == len(GRID)
-
-    def test_process_pool_skips_traces_already_resident_in_memory(self):
-        # A warm parent memory means nothing is dispatched: the second
-        # pass is pure memory hits and no worker simulates anything.
-        cache = SimulationCache()
-        first = SweepRunner(cache=cache, jobs=1).run(GRID)
-        before = cache.stats().simulations
-        second = SweepRunner(cache=cache, jobs=2, executor="process").run(GRID)
-        stats = cache.stats()
-        assert stats.simulations == before
-        assert stats.hits == len(GRID)
-        assert [a.trace is b.trace for a, b in zip(first, second)] == [True] * len(GRID)
-
-    def test_process_workers_warm_the_shared_store(self, tmp_path):
-        store = DiskTraceStore(tmp_path)
-        cache = SimulationCache(store=store)
-        SweepRunner(cache=cache, jobs=2, executor="process").run(GRID)
-        assert len(store) == len(GRID)  # workers wrote every trace
-        warm = SimulationCache(store=store)
-        SweepRunner(cache=warm, jobs=2, executor="process").run(GRID)
-        stats = warm.stats()
-        assert (stats.simulations, stats.disk_hits) == (0, len(GRID))
-
-
 PLAN_ARGS = [
     "--model", "blackmamba", "--gpu", "a40", "--provider", "cudo",
     "--num-gpus", "1,2", "--interconnect", "nvlink", "--density", "sparse",
@@ -302,15 +248,6 @@ class TestPlanCLI:
     def run_plan(self, capsys, *extra) -> str:
         assert cluster_plan_main(PLAN_ARGS + list(extra)) == 0
         return capsys.readouterr().out
-
-    def test_process_executor_output_byte_identical(self, capsys, tmp_path):
-        baseline = self.run_plan(capsys, "--jobs", "1")
-        process = self.run_plan(
-            capsys, "--executor", "process", "--jobs", "2",
-            "--cache-dir", str(tmp_path),
-        )
-        assert process == baseline
-        json.loads(baseline)  # stays valid JSON
 
     def test_cache_dir_populates_and_reuses_the_store(self, capsys, tmp_path):
         cold = self.run_plan(capsys, "--cache-dir", str(tmp_path))
@@ -326,9 +263,9 @@ class TestPlanCLI:
 
 
 class TestSpotPlanCLIDeterminism:
-    """The PR 4 byte-identity contract extended to the risk planner's
-    Monte Carlo path: per-candidate seeding makes --risk-mode mc output
-    independent of --jobs, the executor, and the disk store."""
+    """The byte-identity contract extended to the risk planner's Monte
+    Carlo path: per-candidate seeding makes --risk-mode mc output
+    independent of the disk store."""
 
     SPOT_ARGS = PLAN_ARGS + ["--deadline-hours", "24", "--risk-mode", "mc"]
 
@@ -336,33 +273,8 @@ class TestSpotPlanCLIDeterminism:
         assert spot_plan_main(self.SPOT_ARGS + list(extra)) == 0
         return capsys.readouterr().out
 
-    def test_mc_process_executor_output_byte_identical(self, capsys, tmp_path):
-        baseline = self.run_spot(capsys, "--jobs", "1")
-        process = self.run_spot(
-            capsys, "--executor", "process", "--jobs", "2",
-            "--cache-dir", str(tmp_path),
-        )
-        assert process == baseline
-        payload = json.loads(baseline)  # stays valid JSON
-        assert payload["risk_mode"] == "mc"
-
     def test_mc_cache_dir_reuse_is_byte_identical(self, capsys, tmp_path):
         cold = self.run_spot(capsys, "--cache-dir", str(tmp_path))
         assert len(DiskTraceStore(tmp_path)) > 0
         warm = self.run_spot(capsys, "--cache-dir", str(tmp_path))
         assert warm == cold
-
-
-class TestReportDeterminism:
-    def test_process_executor_report_bytes_identical(self):
-        from repro.experiments import report
-        from repro.scenarios import reset_default_cache
-
-        reset_default_cache()
-        serial = dumps(report.report_payload(include_training=False), indent=2)
-        reset_default_cache()
-        process = dumps(
-            report.report_payload(include_training=False, jobs=2, executor="process"),
-            indent=2,
-        )
-        assert process == serial
