@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Literal, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 FormName = Literal["exponent", "literal"]
 
@@ -81,6 +80,8 @@ class ThroughputModel:
         form: FormName = "exponent",
     ) -> "ThroughputModel":
         """Fit (C2, C3, C4) as the paper does with scipy."""
+        from scipy.optimize import curve_fit
+
         if len(observations) < MIN_OBSERVATIONS:
             raise ValueError(
                 f"need at least {MIN_OBSERVATIONS} observations to identify Eq. 2's "

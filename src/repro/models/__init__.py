@@ -4,9 +4,18 @@ Paper-scale configs (:data:`MIXTRAL_8X7B`, :data:`BLACKMAMBA_2_8B`) are
 used analytically — parameter counts, memory, FLOPs. Tiny configs
 (:data:`MIXTRAL_TINY`, :data:`BLACKMAMBA_TINY`) instantiate real trainable
 models on the autograd engine for the accuracy and load-balance studies.
+
+Importing the package loads only the analytic names: the configs, the
+parameter and memory formulas and the registry. The trainable modules
+(:class:`MixtralModel`, :class:`BlackMambaModel` and their layers) sit
+on ``repro.nn``, ``repro.tensor`` and ``repro.quant``; they resolve on
+first use through ``__getattr__`` (PEP 562), so a planner that never
+trains never imports the autograd engine. ``from repro.models import
+MixtralModel`` still works.
 """
 
-from .blackmamba import BlackMambaModel, MambaLayer, MoEFFNLayer
+import importlib
+
 from .config import (
     BLACKMAMBA_2_8B,
     BLACKMAMBA_TINY,
@@ -16,7 +25,6 @@ from .config import (
     MixtralConfig,
     MoESettings,
 )
-from .mixtral import MixtralBlock, MixtralModel, convert_to_qlora
 from .params import (
     GB,
     ParamBreakdown,
@@ -29,6 +37,24 @@ from .params import (
     weight_bytes_per_param,
 )
 from .registry import MODEL_REGISTRY, ModelSpec, get_model_spec
+
+#: Lazy name -> defining submodule: the autograd-backed models.
+_LAZY = {
+    "BlackMambaModel": ".blackmamba",
+    "MambaLayer": ".blackmamba",
+    "MoEFFNLayer": ".blackmamba",
+    "MixtralBlock": ".mixtral",
+    "MixtralModel": ".mixtral",
+    "convert_to_qlora": ".mixtral",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name], __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "BLACKMAMBA_2_8B",

@@ -7,7 +7,6 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from .blackmamba import BlackMambaModel
 from .config import (
     BLACKMAMBA_2_8B,
     BLACKMAMBA_TINY,
@@ -17,7 +16,6 @@ from .config import (
     MixtralConfig,
 )
 from .params import model_memory_gb, param_breakdown, trainable_parameters
-from .mixtral import MixtralModel
 
 ModelConfig = Union[MixtralConfig, BlackMambaConfig]
 
@@ -55,8 +53,14 @@ class ModelSpec:
                 f"{self.key} is a paper-scale config ({self.params_total/1e9:.1f}B params); "
                 "instantiate a tiny spec for actual training"
             )
+        # The autograd models load only here: analytic callers of the
+        # registry never pay for the tensor and nn layers.
         if isinstance(self.config, MixtralConfig):
+            from .mixtral import MixtralModel
+
             return MixtralModel(self.config, finetune_mode=self.finetune_method, rng=rng)
+        from .blackmamba import BlackMambaModel
+
         return BlackMambaModel(self.config, rng=rng)
 
 

@@ -321,8 +321,10 @@ class PlanRequest:
         cls, kind: str, argv: Optional[Sequence[str]] = None, description: Optional[str] = None
     ) -> Tuple["PlanRequest", argparse.Namespace]:
         """The request a plan CLI's command line asks for, plus the parsed
-        namespace (engine, telemetry and output flags). Rejections exit
-        through ``parser.error``."""
+        namespace (engine, telemetry and output flags). A given list flag
+        holds its parsed entries there, not its raw tokens, so a traced
+        run's manifest records ``[4, 8]`` for ``--batch-size 4,8``.
+        Rejections exit through ``parser.error``."""
         parser = build_parser(kind, description)
         args = parser.parse_args(argv)
         try:
@@ -331,6 +333,9 @@ class PlanRequest:
             )
         except RequestError as exc:
             parser.error(str(exc))
+        for field in KINDS[kind]:
+            if field.many and getattr(args, field.name) is not None:
+                setattr(args, field.name, request.values[field.name])
         return request, args
 
     @classmethod

@@ -63,7 +63,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..tensor import Tensor
 from .checkpoint import CheckpointPolicy
 
 DEFAULT_TRIALS = 512
@@ -488,7 +487,10 @@ def _exponential_waits(
     """A ``(rows, cols)`` block of exponential preemption waits via the
     inverse CDF, scheduled through the repo's tensor layer: uniforms come
     from the seeded numpy stream (the documented part of the contract),
-    the ``-log(1 - u) / rate`` transform runs as tensor ops."""
+    the ``-log(1 - u) / rate`` transform runs as tensor ops. The tensor
+    layer loads here, so the analytic path never imports it."""
+    from ..tensor import Tensor
+
     uniforms = rng.random((rows, cols))
     return (-(Tensor(1.0 - uniforms).log()) / rate).numpy()
 

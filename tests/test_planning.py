@@ -2,9 +2,11 @@
 request gives the same answer, or the same rejection, on the plan CLIs
 and on the planning service."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -241,11 +243,73 @@ class TestCanonicalForm:
         assert ServiceRequestError is RequestError
 
 
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter on this checkout's package,
+    with no trace store or run store from the environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    env.pop("REPRO_CACHE_DIR", None)
+    env.pop("REPRO_RUN_STORE", None)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 def test_plan_clis_do_not_import_the_service():
-    code = (
+    _run_fresh(
         "import repro.cluster.plan, repro.spot.plan, sys; "
         "assert 'http.server' not in sys.modules; "
         "assert not any(m.startswith('repro.service') for m in sys.modules)"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+#: Modules planning never needs: scipy serves only the Eq. 1/Eq. 2
+#: fits, the rest are the training substrate.
+NOT_FOR_PLANNING = (
+    "scipy", "repro.nn", "repro.tensor", "repro.quant", "repro.training",
+    "repro.models.blackmamba", "repro.models.mixtral",
+    "repro.data.dataloader", "repro.data.datasets",
+)
+
+_ASSERT_NOT_LOADED = (
+    f"loaded = [m for m in {NOT_FOR_PLANNING!r} if m in sys.modules]; "
+    "assert not loaded, loaded"
+)
+
+
+def test_planning_imports_only_planning_code():
+    _run_fresh(
+        "import repro.cluster.plan, repro.spot.plan, repro.service.serve, sys; "
+        + _ASSERT_NOT_LOADED
+    )
+
+
+def test_a_cluster_and_an_analytic_spot_plan_leave_scipy_unimported():
+    _run_fresh(
+        "import contextlib, io, sys\n"
+        "from repro.cluster.plan import main as cluster_main\n"
+        "from repro.spot.plan import main as spot_main\n"
+        "argv = ['--model', 'blackmamba', '--gpu', 'a40', '--provider', 'cudo', '--json']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cluster_main(argv) == 0\n"
+        "    assert spot_main(argv + ['--risk-mode', 'analytic']) == 0\n"
+        + _ASSERT_NOT_LOADED
+    )
+
+
+@pytest.mark.parametrize("package", ["repro.models", "repro.data"])
+def test_package_exports_resolve_to_their_defining_submodules(package):
+    module = importlib.import_module(package)
+    submodules = [
+        importlib.import_module(f"{package}.{info.name}")
+        for info in pkgutil.iter_modules(module.__path__)
+    ]
+    assert len(set(module.__all__)) == len(module.__all__)
+    for name in module.__all__:
+        value = getattr(module, name)
+        home = getattr(value, "__module__", None)
+        if callable(value):
+            assert home.startswith(package + "."), name
+            assert getattr(sys.modules[home], name) is value, name
+        holders = [sub for sub in submodules if name in vars(sub)]
+        assert holders, name
+        assert all(vars(sub)[name] is value for sub in holders), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(module, "no_such_name")

@@ -10,6 +10,7 @@ import pytest
 
 from repro.gpu import A40
 from repro.models import BLACKMAMBA_2_8B
+from repro.cluster.plan import main as cluster_plan_main
 from repro.scenarios import (
     Scenario,
     ScenarioGrid,
@@ -454,6 +455,30 @@ class TestCLIs:
         assert manifest["args"]["model"] == "blackmamba"
         for phase in ("planner.plan_spot", "planner.simulate", "planner.risk"):
             assert manifest["phases"][phase] >= 0.0
+
+    @pytest.mark.parametrize("main", [cluster_plan_main, spot_plan_main],
+                             ids=["cluster", "spot"])
+    def test_manifest_records_parsed_list_arguments(self, main, capsys, tmp_path,
+                                                    fresh_globals):
+        out = tmp_path / "events.jsonl"
+        assert main([
+            "--model", "blackmamba", "--gpu", "a40", "--provider", "cudo",
+            "--density", "sparse", "--batch-size", "4,8", "--num-gpus", "1,2",
+            "--grad-accum", "1,2", "--telemetry-out", str(out), "--json",
+        ]) == 0
+        capsys.readouterr()
+        manifest = next(
+            event for event in map(json.loads, out.read_text().splitlines())
+            if event["type"] == "manifest"
+        )
+        args = manifest["args"]
+        assert args["batch_size"] == [4, 8]
+        assert args["num_gpus"] == [1, 2]
+        assert args["grad_accum"] == [1, 2]
+        assert args["provider"] == ["cudo"]
+        # Scalars keep their spelling, and an unset list flag stays unset.
+        assert args["model"] == "blackmamba"
+        assert args["interconnect"] is None
 
     def test_report_cli_emits_validating_log(self, capsys, tmp_path,
                                              fresh_globals):
