@@ -16,6 +16,12 @@ catalog, and returns
   configurations where going faster necessarily costs more;
 * the cheapest and fastest configurations meeting the target.
 
+One function ranks the plan: :func:`rank` keys every candidate once on
+(time, cost, label), sorts once, and reads the frontier and both picks
+off that order. :func:`pareto_frontier` is its (hours, dollars) call
+with the deadline/budget rule; the spot planner's risk frontier is the
+other call.
+
 Determinism: candidate construction is pure and ordering is by explicit
 sort keys, so equal requests yield byte-identical plans.
 """
@@ -23,8 +29,8 @@ sort keys, so equal requests yield byte-identical plans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cloud.pricing import DEFAULT_CATALOG, PriceCatalog
 from ..core.cost import dataset_num_queries, wall_clock_hours
@@ -83,47 +89,9 @@ class ClusterCandidate:
     provider: str
     dollars_per_gpu_hour: float
     estimate: MultiGPUEstimate
-    num_queries: int
-    epochs: int
-
-    @property
-    def total_queries(self) -> int:
-        return self.num_queries * self.epochs
-
-    @cached_property
-    def hours(self) -> float:
-        # Cached: queries_per_second walks the kernel trace, and sorting,
-        # dominance sweeps and the spot tier's exclusion arithmetic all
-        # reread hours/dollars O(n log n) times per plan.
-        return wall_clock_hours(self.total_queries, self.estimate.queries_per_second)
-
-    @cached_property
-    def dollars(self) -> float:
-        return self.hours * self.dollars_per_gpu_hour * self.scenario.num_gpus
-
-    @cached_property
-    def label(self) -> str:
-        # Cached (writes around the frozen dataclass into __dict__):
-        # sorting, dominance sweeps and the spot planner's seeds all key
-        # on the label, and rebuilding the tag string per comparison
-        # dominated the warm plan's profile.
-        return f"{self.scenario.label(include_gpu=True)}_{self.provider}"
-
-    def meets(
-        self,
-        deadline_hours: Optional[float] = None,
-        budget_dollars: Optional[float] = None,
-    ) -> bool:
-        if deadline_hours is not None and self.hours > deadline_hours:
-            return False
-        if budget_dollars is not None and self.dollars > budget_dollars:
-            return False
-        return True
-
-    def sort_key(self) -> Tuple:
-        """Deterministic total order: fast before slow, cheap before
-        expensive, label as the final tie-break."""
-        return (self.hours, self.dollars, self.label)
+    hours: float
+    dollars: float
+    label: str
 
     def to_dict(self) -> Dict[str, object]:
         scenario = self.scenario
@@ -150,28 +118,72 @@ class ClusterCandidate:
         return payload
 
 
-def dominance_sweep(candidates, sort_key, cost) -> List:
-    """Generic weak-dominance Pareto sweep: sort by ``sort_key`` (time
-    axis first) and keep candidates while ``cost`` strictly improves. A
-    candidate survives iff it is strictly cheaper than every candidate at
-    least as fast as it, so a slower configuration that saves no money is
-    dropped and ties collapse to the first in deterministic sort order.
-    Shared by this frontier and the spot planner's risk frontier."""
+@dataclass(frozen=True)
+class Ranking:
+    """One ranked candidate list: every candidate in rank order, the
+    Pareto frontier, the feasible candidates (in rank order) and the two
+    picks among them."""
+
+    candidates: List
+    frontier: List
+    feasible: List
+    fastest: Optional[object]
+    cheapest: Optional[object]
+
+
+def rank(
+    candidates: Sequence,
+    axes: Callable[[object], Tuple[float, float]],
+    meets: Callable[[object], bool],
+) -> Ranking:
+    """Rank candidates on a (time, cost) view with one sort.
+
+    Each candidate's key ``(time, cost, label)`` is built once and the
+    list is sorted by it once. The frontier keeps, in that order, each
+    candidate strictly cheaper than all before it, so a slower one that
+    saves no money is dropped and exact ties collapse to the first.
+    ``fastest`` is the first candidate ``meets`` accepts (its ``min()``
+    key is the sort key); ``cheapest`` is the feasible minimum of
+    ``(cost, time, label)``."""
+    ranked = sorted(
+        (((*axes(c), c.label), c) for c in candidates), key=itemgetter(0)
+    )
     frontier: List = []
     best_cost = float("inf")
-    for candidate in sorted(candidates, key=sort_key):
-        if cost(candidate) < best_cost:
+    for (_, cost, _), candidate in ranked:
+        if cost < best_cost:
             frontier.append(candidate)
-            best_cost = cost(candidate)
-    return frontier
-
-
-def pareto_frontier(candidates: Sequence[ClusterCandidate]) -> List[ClusterCandidate]:
-    """The non-dominated candidates under (minimize hours, minimize
-    dollars), ordered fastest-first."""
-    return dominance_sweep(
-        candidates, ClusterCandidate.sort_key, lambda c: c.dollars
+            best_cost = cost
+    feasible = [(key, c) for key, c in ranked if meets(c)]
+    _, cheapest = min(
+        feasible, key=lambda e: (e[0][1], e[0][0], e[0][2]), default=(None, None)
     )
+    return Ranking(
+        candidates=[c for _, c in ranked],
+        frontier=frontier,
+        feasible=[c for _, c in feasible],
+        fastest=feasible[0][1] if feasible else None,
+        cheapest=cheapest,
+    )
+
+
+def pareto_frontier(
+    candidates: Sequence[ClusterCandidate],
+    deadline_hours: Optional[float] = None,
+    budget_dollars: Optional[float] = None,
+) -> Ranking:
+    """Rank candidates under (minimize hours, minimize dollars): the
+    frontier is ordered fastest-first, and a candidate is feasible when
+    it meets the deadline and the budget."""
+
+    def meets(c: ClusterCandidate) -> bool:
+        if deadline_hours is not None and c.hours > deadline_hours:
+            return False
+        if budget_dollars is not None and c.dollars > budget_dollars:
+            return False
+        return True
+
+    return rank(candidates, lambda c: (c.hours, c.dollars), meets)
 
 
 @dataclass
@@ -187,16 +199,10 @@ class ClusterPlan:
     budget_dollars: Optional[float]
     candidates: List[ClusterCandidate]
     frontier: List[ClusterCandidate]
+    feasible: List[ClusterCandidate]
     cheapest: Optional[ClusterCandidate]
     fastest: Optional[ClusterCandidate]
     skipped: List[str] = field(default_factory=list)
-
-    @property
-    def feasible(self) -> List[ClusterCandidate]:
-        return [
-            c for c in self.candidates
-            if c.meets(self.deadline_hours, self.budget_dollars)
-        ]
 
     def to_payload(self) -> Dict[str, object]:
         """JSON-serializable plan (``--json``), deterministically ordered."""
@@ -527,6 +533,10 @@ class ClusterPlanner:
                 for point, estimate in zip(points, estimates):
                     scenario = point.scenario
                     priced = set(self.catalog.providers_for(scenario.gpu_spec.name))
+                    hours = wall_clock_hours(
+                        self.num_queries * self.epochs, estimate.queries_per_second
+                    )
+                    tag = scenario.label(include_gpu=True)
                     for provider in providers:
                         if provider not in priced:
                             continue  # this provider does not rent this GPU
@@ -539,24 +549,15 @@ class ClusterPlanner:
                                 provider=provider,
                                 dollars_per_gpu_hour=rate,
                                 estimate=estimate,
-                                num_queries=self.num_queries,
-                                epochs=self.epochs,
+                                hours=hours,
+                                dollars=hours * rate * scenario.num_gpus,
+                                label=f"{tag}_{provider}",
                             )
                         )
                 sp.attributes["candidates"] = len(candidates)
             with tracer.span("planner.pareto") as sp:
-                candidates.sort(key=ClusterCandidate.sort_key)
-                frontier = pareto_frontier(candidates)
-                feasible = [
-                    c for c in candidates if c.meets(deadline_hours, budget_dollars)
-                ]
-                cheapest = min(
-                    feasible, key=lambda c: (c.dollars, c.hours, c.label), default=None
-                )
-                fastest = min(
-                    feasible, key=lambda c: (c.hours, c.dollars, c.label), default=None
-                )
-                sp.attributes["frontier"] = len(frontier)
+                ranking = pareto_frontier(candidates, deadline_hours, budget_dollars)
+                sp.attributes["frontier"] = len(ranking.frontier)
         return ClusterPlan(
             model_name=self.cfg.name,
             dataset=self.dataset,
@@ -565,9 +566,10 @@ class ClusterPlanner:
             epochs=self.epochs,
             deadline_hours=deadline_hours,
             budget_dollars=budget_dollars,
-            candidates=candidates,
-            frontier=frontier,
-            cheapest=cheapest,
-            fastest=fastest,
+            candidates=ranking.candidates,
+            frontier=ranking.frontier,
+            feasible=ranking.feasible,
+            cheapest=ranking.cheapest,
+            fastest=ranking.fastest,
             skipped=skipped,
         )

@@ -43,7 +43,9 @@ The Pareto frontier gains the risk view: (p95 hours, expected dollars).
 An on-demand candidate's p95 equals its deterministic hours, so safe
 configurations compete with cheap-but-risky ones on one chart, and the
 "cheapest under deadline" pick accepts a completion-probability target
-("≥95% chance of finishing in 24 h").
+("≥95% chance of finishing in 24 h"). Both tiers are ranked together by
+the cluster planner's :func:`~repro.cluster.planner.rank`: one key per
+candidate, one sort, the frontier and both picks read off that order.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..cloud.pricing import PriceCatalog
@@ -59,7 +60,8 @@ from ..cluster.planner import (
     ClusterCandidate,
     ClusterPlan,
     ClusterPlanner,
-    dominance_sweep,
+    Ranking,
+    rank,
     strategy_payload,
 )
 from ..scenarios import SimulationCache
@@ -117,6 +119,8 @@ class SpotCandidate:
     p95_hours: float
     expected_preemptions: float
     completion_probability: float  # within the plan deadline (1.0 if none)
+    expected_dollars: float  # expected hours at this tier's fleet rate
+    label: str
     market: Optional[SpotMarket] = None
     policy: Optional[CheckpointPolicy] = None
 
@@ -128,12 +132,6 @@ class SpotCandidate:
     def provider(self) -> str:
         return self.base.provider
 
-    @cached_property
-    def label(self) -> str:
-        # Cached like ClusterCandidate.label: sort keys and the frontier
-        # sweep read it O(n log n) times per plan.
-        return f"{self.base.label}_{self.tier}"
-
     @property
     def ondemand_hours(self) -> float:
         return self.base.hours
@@ -142,44 +140,14 @@ class SpotCandidate:
     def ondemand_dollars(self) -> float:
         return self.base.dollars
 
-    def _dollars(self, hours: float) -> float:
-        return hours * self.dollars_per_gpu_hour * self.base.scenario.num_gpus
-
-    @cached_property
-    def expected_dollars(self) -> float:
-        # Cached: the dominance sweep, feasibility filter and both
-        # min() selections reread this O(n log n) times per plan.
-        return self._dollars(self.expected_hours)
-
     @property
     def p95_dollars(self) -> float:
-        return self._dollars(self.p95_hours)
+        return self.p95_hours * self.dollars_per_gpu_hour * self.base.scenario.num_gpus
 
     @property
     def expected_savings(self) -> float:
         """Expected dollars saved vs running this cluster on demand."""
         return self.ondemand_dollars - self.expected_dollars
-
-    def meets(
-        self,
-        deadline_hours: Optional[float] = None,
-        budget_dollars: Optional[float] = None,
-        confidence: float = DEFAULT_CONFIDENCE,
-    ) -> bool:
-        """Feasibility under the risk-adjusted targets: the deadline must
-        be met with at least ``confidence`` probability, the budget is
-        checked against expected dollars."""
-        if deadline_hours is not None and self.completion_probability < confidence:
-            return False
-        if budget_dollars is not None and self.expected_dollars > budget_dollars:
-            return False
-        return True
-
-    def sort_key(self) -> Tuple:
-        """Deterministic total order on the risk view: tight-tail before
-        loose, cheap-in-expectation before expensive, label last (which
-        also orders the on-demand tier before spot on exact ties)."""
-        return (self.p95_hours, self.expected_dollars, self.label)
 
     def to_dict(self) -> Dict[str, object]:
         scenario = self.base.scenario
@@ -210,13 +178,25 @@ class SpotCandidate:
         return payload
 
 
-def risk_pareto_frontier(candidates: Sequence[SpotCandidate]) -> List[SpotCandidate]:
-    """Non-dominated candidates under (minimize p95 hours, minimize
-    expected dollars) — the risk-adjusted analogue of the cluster
-    planner's frontier, sharing its weak-dominance/tie-collapse sweep."""
-    return dominance_sweep(
-        candidates, SpotCandidate.sort_key, lambda c: c.expected_dollars
-    )
+def risk_pareto_frontier(
+    candidates: Sequence[SpotCandidate],
+    deadline_hours: Optional[float] = None,
+    budget_dollars: Optional[float] = None,
+    confidence: float = DEFAULT_CONFIDENCE,
+) -> Ranking:
+    """Rank candidates under (minimize p95 hours, minimize expected
+    dollars); the label tie-break orders the on-demand tier before spot
+    on exact ties. Feasible means the deadline is met with at least
+    ``confidence`` probability and expected dollars fit the budget."""
+
+    def meets(c: SpotCandidate) -> bool:
+        if deadline_hours is not None and c.completion_probability < confidence:
+            return False
+        if budget_dollars is not None and c.expected_dollars > budget_dollars:
+            return False
+        return True
+
+    return rank(candidates, lambda c: (c.p95_hours, c.expected_dollars), meets)
 
 
 @dataclass(frozen=True)
@@ -273,6 +253,7 @@ class SpotPlan:
     spot_mode: str  # "both" | "only" | "off"
     candidates: List[SpotCandidate]
     frontier: List[SpotCandidate]
+    feasible: List[SpotCandidate]
     recommended: Optional[SpotCandidate]
     fastest: Optional[SpotCandidate]
     excluded: List[str] = field(default_factory=list)
@@ -285,13 +266,6 @@ class SpotPlan:
     @property
     def budget_dollars(self) -> Optional[float]:
         return self.ondemand.budget_dollars
-
-    @property
-    def feasible(self) -> List[SpotCandidate]:
-        return [
-            c for c in self.candidates
-            if c.meets(self.deadline_hours, self.budget_dollars, self.confidence)
-        ]
 
     @property
     def spot_candidates(self) -> List[SpotCandidate]:
@@ -469,11 +443,6 @@ class RiskAdjustedPlanner(ClusterPlanner):
             market = market.with_mtbp(self.mtbp_hours)
         return market
 
-    def _seed_for(self, candidate: ClusterCandidate) -> int:
-        """Candidate-deterministic Monte Carlo seed: stable across runs
-        and processes (crc32, unlike ``hash()``, is unsalted)."""
-        return self.seed ^ zlib.crc32(candidate.label.encode())
-
     def _policy_for(self, interval_minutes: float, tensor_parallel: int) -> CheckpointPolicy:
         """The (cached) checkpoint policy at one cadence for one TP
         degree — write/restart costs use the per-device sharded state."""
@@ -526,6 +495,7 @@ class RiskAdjustedPlanner(ClusterPlanner):
         market: SpotMarket,
         rate: float,
         cluster_key: Tuple,
+        seed: int,
     ) -> RiskEntry:
         """The candidate's memoized risk bundle — the single cache probe
         a warm plan pays per candidate. Created with the closed-form
@@ -542,7 +512,7 @@ class RiskAdjustedPlanner(ClusterPlanner):
             self._cadence_axis(),
             self.risk_mode,
             self.simulator.trials,
-            self._seed_for(base),
+            seed,
         )
 
         def compute() -> RiskEntry:
@@ -582,13 +552,13 @@ class RiskAdjustedPlanner(ClusterPlanner):
         rate: float,
         policy: CheckpointPolicy,
         cluster_key: Tuple,
+        seed: int,
     ) -> RiskDistributions:
         """The bundle's lazy fill, memoized under its own sub-key: the
         candidate's makespan distribution(s) at its resolved cadence,
         per the planner's risk mode. Runs only for candidates that
         survive the exclusion check."""
         work = base.hours
-        seed = self._seed_for(base)
         key = (
             "spot-risk-dist",
             cluster_key,
@@ -649,7 +619,11 @@ class RiskAdjustedPlanner(ClusterPlanner):
         market = self.market_for(base.provider)
         rate = market.fleet_rate_per_hour(scenario.num_gpus)
         cluster_key = scenario.cluster_key()  # built once, shared by both keys
-        entry = self._risk_entry(base, market, rate, cluster_key)
+        # Candidate-deterministic Monte Carlo seed, also shared by both
+        # keys: stable across runs and processes (crc32, unlike
+        # ``hash()``, is unsalted).
+        seed = self.seed ^ zlib.crc32(base.label.encode())
+        entry = self._risk_entry(base, market, rate, cluster_key, seed)
         pricing = entry.pricing
         expected = pricing.expected_hours
         policy = pricing.policy
@@ -667,7 +641,7 @@ class RiskAdjustedPlanner(ClusterPlanner):
         distributions = entry.distributions
         if distributions is None:
             distributions = self._risk_distributions(
-                base, market, rate, policy, cluster_key
+                base, market, rate, policy, cluster_key, seed
             )
             entry.distributions = distributions
         serving = distributions.serving
@@ -683,6 +657,8 @@ class RiskAdjustedPlanner(ClusterPlanner):
             completion_probability=float(
                 serving.completion_probability(deadline_hours)
             ),
+            expected_dollars=expected_dollars,
+            label=f"{base.label}_{SPOT}",
             market=market,
             policy=policy,
         )
@@ -705,6 +681,8 @@ class RiskAdjustedPlanner(ClusterPlanner):
             p95_hours=hours,
             expected_preemptions=0.0,
             completion_probability=1.0 if meets else 0.0,
+            expected_dollars=base.dollars,
+            label=f"{base.label}_{ONDEMAND}",
         )
 
     def plan_spot(
@@ -761,31 +739,19 @@ class RiskAdjustedPlanner(ClusterPlanner):
                 sp.attributes["candidates"] = len(candidates)
                 sp.attributes["excluded"] = len(excluded)
             with tracer.span("planner.risk_pareto") as sp:
-                candidates.sort(key=SpotCandidate.sort_key)
-                frontier = risk_pareto_frontier(candidates)
-                feasible = [
-                    c for c in candidates
-                    if c.meets(deadline_hours, budget_dollars, confidence)
-                ]
-                recommended = min(
-                    feasible,
-                    key=lambda c: (c.expected_dollars, c.p95_hours, c.label),
-                    default=None,
+                ranking = risk_pareto_frontier(
+                    candidates, deadline_hours, budget_dollars, confidence
                 )
-                fastest = min(
-                    feasible,
-                    key=lambda c: (c.p95_hours, c.expected_dollars, c.label),
-                    default=None,
-                )
-                sp.attributes["frontier"] = len(frontier)
+                sp.attributes["frontier"] = len(ranking.frontier)
         return SpotPlan(
             ondemand=ondemand,
             confidence=confidence,
             spot_mode=spot,
-            candidates=candidates,
-            frontier=frontier,
-            recommended=recommended,
-            fastest=fastest,
+            candidates=ranking.candidates,
+            frontier=ranking.frontier,
+            feasible=ranking.feasible,
+            recommended=ranking.cheapest,
+            fastest=ranking.fastest,
             excluded=excluded,
             risk_mode=self.risk_mode,
         )

@@ -1,8 +1,11 @@
 """Tests for the cluster planning subsystem."""
 
 import json
+import math
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
     ClusterPlanner,
@@ -11,6 +14,8 @@ from repro.cluster import (
     pareto_frontier,
 )
 from repro.cluster.plan import main as plan_main, resolve_gpu_name, resolve_model_key
+from repro.cluster.planner import rank
+from repro.core.cost import wall_clock_hours
 from repro.gpu import A40, DataParallelSimulator, H100, NVLINK, PCIE_GEN4
 from repro.models import MIXTRAL_8X7B
 from repro.scenarios import Scenario, SimulationCache, preset
@@ -190,9 +195,64 @@ class TestParetoFrontier:
     def test_pareto_helper_deterministic_tiebreak(self):
         plan = self._plan()
         shuffled = list(reversed(plan.candidates))
-        assert [c.label for c in pareto_frontier(shuffled)] == [
+        assert [c.label for c in pareto_frontier(shuffled).frontier] == [
             c.label for c in plan.frontier
         ]
+
+
+@dataclass(frozen=True)
+class Row:
+    """A synthetic ranked candidate: only what ``rank`` reads."""
+
+    time: float
+    cost: float
+    label: str
+    ok: bool
+
+
+# A small pool of axis values makes ties on either axis likely.
+AXIS = st.sampled_from([0.5, 1.0, 2.0, 3.0, math.inf])
+ROWS = st.lists(st.tuples(AXIS, AXIS, st.booleans()), max_size=12).map(
+    lambda rows: [Row(t, c, f"c{i}", ok) for i, (t, c, ok) in enumerate(rows)]
+)
+
+
+def key(row):
+    return (row.time, row.cost, row.label)
+
+
+def dominates(a, b):
+    """``a`` weakly dominates ``b``: no slower, no dearer, and first in
+    the (time, cost, label) order, so exact ties dominate only one way."""
+    return a.time <= b.time and a.cost <= b.cost and key(a) < key(b)
+
+
+def rank_rows(rows):
+    return rank(rows, lambda r: (r.time, r.cost), lambda r: r.ok)
+
+
+class TestRank:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=ROWS, data=st.data())
+    def test_frontier_and_picks(self, rows, data):
+        ranking = rank_rows(rows)
+        members = {r.label for r in ranking.frontier}
+        assert ranking.candidates == sorted(rows, key=key)
+        for row in rows:
+            if row.label in members:
+                assert math.isfinite(row.cost)  # inf dollars never qualify
+                assert not any(dominates(other, row) for other in rows)
+            elif math.isfinite(row.cost):
+                assert any(dominates(f, row) for f in ranking.frontier)
+        feasible = [r for r in rows if r.ok]
+        assert ranking.feasible == sorted(feasible, key=key)
+        assert ranking.fastest == min(
+            feasible, key=lambda r: (r.time, r.cost, r.label), default=None
+        )
+        assert ranking.cheapest == min(
+            feasible, key=lambda r: (r.cost, r.time, r.label), default=None
+        )
+        assert rank_rows(data.draw(st.permutations(rows))) == ranking
 
 
 class TestPlannerDeterminismAndReuse:
@@ -245,7 +305,9 @@ class TestCandidateAccounting:
         for candidate in plan.candidates:
             fleet_rate = candidate.dollars_per_gpu_hour * candidate.scenario.num_gpus
             assert candidate.dollars == pytest.approx(candidate.hours * fleet_rate)
-            assert candidate.total_queries == candidate.num_queries * candidate.epochs
+            assert candidate.hours == wall_clock_hours(
+                plan.num_queries * plan.epochs, candidate.estimate.queries_per_second
+            )
 
     def test_full_finetune_pays_the_interconnect_tax(self):
         planner = ClusterPlanner(

@@ -29,6 +29,7 @@ from repro.memory.estimator import EFFECTIVE_SEQ_LEN, max_batch_size, memory_bre
 from repro.models import BLACKMAMBA_2_8B, MIXTRAL_8X7B
 from repro.scenarios import Scenario, SimulationCache, preset
 from repro.spot import RiskAdjustedPlanner, optimal_interval_minutes
+from repro.spot.plan import main as spot_plan_main
 from repro.spot.checkpoint import CheckpointPolicy, checkpoint_state_gb, restart_state_gb
 
 GOLDEN_DIR = Path(__file__).parent / "data"
@@ -307,22 +308,47 @@ class TestScenarioStrategyAxis:
         assert len({s.key() for s in grid}) == len({s.tensor_parallel for s in grid})
 
 
+# Plan CLI outputs pinned byte for byte: (CLI main, argv, golden file).
+GOLDEN_PLANS = [
+    (plan_main, ["--model", "mixtral", "--gpu", "a40", "--deadline-hours",
+                 "24", "--json"], "golden_cluster_plan_mixtral_a40.json"),
+    (plan_main, ["--model", "mixtral", "--density", "dense", "--gpu", "a40",
+                 "--json"], "golden_cluster_plan_mixtral_a40_dense.json"),
+    (plan_main, ["--model", "blackmamba", "--provider", "runpod", "--density",
+                 "sparse", "--budget", "50"],
+     "golden_cluster_plan_blackmamba_runpod.txt"),
+    (spot_plan_main, ["--model", "mixtral", "--gpu", "a40", "--deadline-hours",
+                      "24", "--json"], "golden_spot_plan_mixtral_a40.json"),
+    (spot_plan_main, ["--model", "mixtral", "--gpu", "a40", "--deadline-hours",
+                      "24", "--risk-mode", "mc", "--json"],
+     "golden_spot_plan_mixtral_a40_mc.json"),
+    (spot_plan_main, ["--model", "mixtral", "--gpu", "a40", "--deadline-hours",
+                      "24", "--mtbp-hours", "0.5", "--json"],
+     "golden_spot_plan_mixtral_a40_mtbp05.json"),
+    (spot_plan_main, ["--model", "mixtral", "--parallelism", "auto",
+                      "--grad-accum", "1,2,4", "--json"],
+     "golden_spot_plan_mixtral_auto.json"),
+    (spot_plan_main, ["--model", "blackmamba", "--deadline-hours", "48"],
+     "golden_spot_plan_blackmamba.txt"),
+]
+
+
 class TestPlannerParallelism:
-    def test_dp_plan_byte_identical_to_pre_refactor_golden(self, capsys):
-        """The hard acceptance: with (and without) --parallelism dp the
-        plan JSON matches the output captured before the strategy layer
-        existed, byte for byte."""
-        cases = [
-            (["--model", "mixtral", "--gpu", "a40", "--deadline-hours", "24",
-              "--json"], "golden_cluster_plan_mixtral_a40.json"),
-            (["--model", "mixtral", "--density", "dense", "--gpu", "a40",
-              "--json"], "golden_cluster_plan_mixtral_a40_dense.json"),
-        ]
-        for argv, golden in cases:
-            golden_text = (GOLDEN_DIR / golden).read_text()
-            assert plan_main(argv) == 0
-            assert capsys.readouterr().out == golden_text
-            assert plan_main(argv + ["--parallelism", "dp"]) == 0
+    @pytest.mark.parametrize(
+        "main, argv, golden", GOLDEN_PLANS, ids=[g for _, _, g in GOLDEN_PLANS]
+    )
+    def test_plan_byte_identical_to_golden(self, capsys, main, argv, golden):
+        """The hard acceptance: each plan CLI output matches the output
+        captured before the refactors that reshaped its code, byte for
+        byte — the two data-parallel cluster JSONs from before the
+        strategy layer existed, the rest from before the two planners
+        shared one ranking. Without --parallelism the output is also
+        unchanged by an explicit --parallelism dp."""
+        golden_text = (GOLDEN_DIR / golden).read_text()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == golden_text
+        if "--parallelism" not in argv:
+            assert main(argv + ["--parallelism", "dp"]) == 0
             assert capsys.readouterr().out == golden_text
 
     def test_auto_prices_the_cell_dp_skips(self):
