@@ -28,7 +28,7 @@ axes to the replica key.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from ..gpu.multigpu import (
     Interconnect,
@@ -37,9 +37,7 @@ from ..gpu.multigpu import (
     get_interconnect,
 )
 from ..gpu.parallelism import DATA_PARALLEL, ParallelismStrategy, get_strategy
-from ..gpu.specs import GPUSpec
-from ..scenarios import Scenario, ScenarioGrid, SimulationCache, freeze_overrides, resolve_cache
-from ..scenarios.scenario import ModelConfig
+from ..scenarios import Scenario, SimulationCache, freeze_overrides, resolve_cache
 
 # The workload-override key a TP strategy owns on cluster scenarios.
 TP_OVERRIDE = "tensor_parallel"
@@ -162,9 +160,6 @@ class ClusterScenario(Scenario):
         base = super().label(include_gpu=include_gpu, include_seq_len=include_seq_len)
         return f"{base}_{self._cluster_tag()}"
 
-    def qualified_label(self) -> str:
-        return f"{super().qualified_label()}_{self._cluster_tag()}"
-
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
@@ -184,49 +179,3 @@ class ClusterScenario(Scenario):
         """Queries contributing to one optimizer step across the fleet."""
         return self.strategy_spec.global_batch_size(self.num_gpus, self.batch_size)
 
-
-def cluster_product(
-    models: Sequence[Union[str, ModelConfig]],
-    gpus: Sequence[Union[str, GPUSpec]],
-    batch_sizes: Sequence[int] = (1,),
-    datasets: Sequence[Optional[str]] = (None,),
-    seq_lens: Sequence[Optional[int]] = (None,),
-    dense: Sequence[bool] = (False,),
-    num_gpus: Sequence[int] = (1,),
-    interconnects: Sequence[Union[str, Interconnect]] = ("nvlink",),
-    strategies: Sequence[Union[str, ParallelismStrategy]] = (DATA_PARALLEL,),
-    overrides=(),
-) -> ScenarioGrid:
-    """Cartesian product over the cluster space, mirroring
-    :meth:`ScenarioGrid.product` with the cluster axes innermost —
-    replica axes vary slowest, so all cluster variants of one replica are
-    consecutive and share one simulation. Strategy/cluster-size
-    combinations the layout cannot host (a TP degree that does not divide
-    the cluster size) are omitted rather than failed, so one grid can mix
-    strategies across sizes."""
-    frozen = freeze_overrides(overrides)
-    resolved = [get_strategy(strategy) for strategy in strategies]
-    return ScenarioGrid(
-        ClusterScenario(
-            model=model,
-            gpu=gpu,
-            batch_size=batch,
-            seq_len=seq_len,
-            dense=is_dense,
-            dataset=dataset,
-            overrides=frozen,
-            num_gpus=n,
-            interconnect=link,
-            strategy=strategy,
-        )
-        for model in models
-        for dataset in datasets
-        for seq_len in seq_lens
-        for is_dense in dense
-        for batch in batch_sizes
-        for gpu in gpus
-        for strategy in resolved
-        for n in num_gpus
-        for link in interconnects
-        if strategy.fits(n)
-    )

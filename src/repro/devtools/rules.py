@@ -586,8 +586,7 @@ class ImportLayering(Rule):
         "the scenario engine, planners and telemetry build on. A "
         "substrate module importing repro.telemetry or an experiment/"
         "CLI module inverts the layering, drags observability into "
-        "every consumer, and invites the import cycles the engine's "
-        "lazy preset imports were built to avoid."
+        "every consumer, and invites import cycles between the layers."
     )
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:

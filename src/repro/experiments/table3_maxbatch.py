@@ -6,7 +6,7 @@ from __future__ import annotations
 from ..gpu import A40
 from ..memory import max_batch_size_for_dataset
 from ..models import BLACKMAMBA_2_8B, MIXTRAL_8X7B
-from ..scenarios import ScenarioGrid, register_preset
+from ..scenarios import ScenarioGrid
 from .common import ExperimentResult
 
 PAPER = {
@@ -30,9 +30,6 @@ def grid(gpu=A40) -> ScenarioGrid:
         datasets=("commonsense15k", "math14k"),
         dense=(True, False),
     )
-
-
-register_preset("table3", grid, overwrite=True)  # idempotent across reloads
 
 
 def run() -> ExperimentResult:

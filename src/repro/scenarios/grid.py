@@ -8,8 +8,8 @@ collection of scenarios. Grids are built three ways:
   -> gpu (the order the paper's figures enumerate their cases);
 * :meth:`ScenarioGrid.batch_sweep` — batch sizes 1..max for one
   configuration, the shape behind every Eq. 2 fitting sweep;
-* :func:`preset` — named grids registered by experiment modules (e.g.
-  ``"fig8"``) or ad-hoc via :func:`register_preset`.
+* the constructor — any iterable of scenarios, which is how the cluster
+  planner hands its enumerated space to :class:`SweepRunner`.
 
 Grids compose with ``filter`` and ``+``, so irregular paper grids (Fig. 8
 measures different batch sizes per model/dataset cell) are expressed as a
@@ -18,7 +18,7 @@ product narrowed by a predicate instead of a hand-rolled tuple list.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..gpu.specs import GPUSpec
 from .scenario import ModelConfig, Scenario, freeze_overrides
@@ -142,126 +142,3 @@ class ScenarioGrid:
     def labels(self) -> List[str]:
         return [s.label() for s in self._scenarios]
 
-
-# ---------------------------------------------------------------------------
-# Named presets
-# ---------------------------------------------------------------------------
-
-_PRESETS: Dict[str, Callable[[], ScenarioGrid]] = {}
-
-
-def register_preset(
-    name: str, builder: Callable[..., ScenarioGrid], overwrite: bool = False
-) -> None:
-    """Register a zero-arg grid builder under ``name``. Experiment modules
-    register their grids at import time (``"fig8"``, ``"table3"``)."""
-    if name in _PRESETS and not overwrite:
-        raise ValueError(f"preset {name!r} is already registered")
-    _PRESETS[name] = builder
-
-
-def preset(name: str) -> ScenarioGrid:
-    """Build a fresh grid from a registered preset."""
-    if name not in _PRESETS:
-        # Experiment modules and the cluster/spot subsystems register
-        # their grids at import time; pull them in on first miss so the
-        # advertised presets ("fig8", "table3", "cluster-scaling",
-        # "spot-scaling") resolve without a manual import. Each subsystem
-        # imports independently: one broken subsystem must not make the
-        # others' presets unreachable, so failures are only surfaced (as
-        # context on the KeyError) if the requested preset stays missing.
-        import importlib
-
-        errors = []
-        for module in ("repro.experiments", "repro.cluster", "repro.spot"):
-            try:
-                importlib.import_module(module)
-            except Exception as exc:
-                errors.append(f"{module}: {exc}")
-        if name not in _PRESETS:
-            detail = f" (import failures: {'; '.join(errors)})" if errors else ""
-            raise KeyError(
-                f"unknown preset {name!r}; available: {preset_names()}{detail}"
-            )
-    return _PRESETS[name]()
-
-
-def preset_names() -> List[str]:
-    return sorted(_PRESETS)
-
-
-def _register_builtin_presets() -> None:
-    from ..gpu.specs import A40, A100_40, A100_80, H100
-    from ..models.config import BLACKMAMBA_2_8B, MIXTRAL_8X7B
-
-    def profiling_grid() -> ScenarioGrid:
-        # The full Fig. 4-6/9/10 profiling grid: both families at the
-        # paper's exact (density, batch) points, seq 128, on the A40. The
-        # points live with fig4 (the other figures reuse them); imported
-        # lazily so the builder stays the single source of truth without
-        # a grid -> experiments import at module load.
-        from ..experiments.fig4_stages import (
-            BLACKMAMBA_POINTS,
-            MIXTRAL_POINTS,
-            SEQ_LEN,
-        )
-
-        cells = {
-            MIXTRAL_8X7B.family: set(MIXTRAL_POINTS),
-            BLACKMAMBA_2_8B.family: set(BLACKMAMBA_POINTS),
-        }
-        batches = sorted({batch for points in cells.values() for _, batch in points})
-        return ScenarioGrid.product(
-            models=(MIXTRAL_8X7B, BLACKMAMBA_2_8B),
-            gpus=(A40,),
-            seq_lens=(SEQ_LEN,),
-            dense=(True, False),
-            batch_sizes=batches,
-        ).filter(lambda s: (s.dense, s.batch_size) in cells[s.config.family])
-
-    def table4_cost_grid() -> ScenarioGrid:
-        # The Eq. 2 calibration sweeps behind Table IV: dense + sparse
-        # batch sweeps of Mixtral on the three priced GPUs at the GS
-        # padded sequence length.
-        from ..memory.estimator import EFFECTIVE_SEQ_LEN
-
-        seq_len = EFFECTIVE_SEQ_LEN["gsm8k"]
-        grid = ScenarioGrid()
-        for gpu in (A40, A100_80, H100):
-            for dense in (True, False):
-                grid = grid + ScenarioGrid.batch_sweep(
-                    MIXTRAL_8X7B, gpu, seq_len=seq_len, dense=dense
-                )
-        return grid
-
-    def fig13_projection_grid() -> ScenarioGrid:
-        # The Eq. 1 observation grid: batch-1 probes of both families
-        # across the four measured GPUs, sequence lengths and densities
-        # (the points `collect_batch_size_observations` feeds the fit).
-        return ScenarioGrid.product(
-            models=(MIXTRAL_8X7B, BLACKMAMBA_2_8B),
-            gpus=(A100_40, A40, A100_80, H100),
-            seq_lens=(64, 128, 256, 512),
-            dense=(True, False),
-        )
-
-    register_preset(
-        "a40-profiling-grid",
-        lambda: ScenarioGrid.product(
-            models=(MIXTRAL_8X7B, BLACKMAMBA_2_8B),
-            gpus=(A40,),
-            seq_lens=(128,),
-            dense=(True, False),
-            batch_sizes=(1, 10),
-        ),
-    )
-    register_preset(
-        "mixtral-a40-batch-sweep",
-        lambda: ScenarioGrid.batch_sweep(MIXTRAL_8X7B, A40, seq_len=128, dense=False),
-    )
-    register_preset("profiling-grid", profiling_grid)
-    register_preset("table4-cost", table4_cost_grid)
-    register_preset("fig13-projection", fig13_projection_grid)
-
-
-_register_builtin_presets()

@@ -7,13 +7,17 @@ simulations and a warm cache (or an attached
 :class:`~repro.scenarios.store.DiskTraceStore`) means no simulation at
 all. A simulated step costs about a millisecond, too little for a
 thread or process pool to pay for itself.
+
+The runner returns points and nothing else: each caller (an experiment,
+the Eq. 2 fitting helpers, the cluster planner) turns them into its own
+rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..gpu.trace import StepTrace
 from ..telemetry.tracer import Tracer, resolve_tracer
@@ -88,40 +92,3 @@ class SweepRunner:
             SweepPoint(index=i, scenario=s, trace=t)
             for i, (s, t) in enumerate(zip(scenarios, traces))
         ]
-
-    def throughputs(self, grid: ScenarioGrid) -> List[float]:
-        return [point.queries_per_second for point in self.run(grid)]
-
-    def to_result(
-        self,
-        experiment_id: str,
-        title: str,
-        grid: ScenarioGrid,
-        paper: Optional[dict] = None,
-        value: Optional[Callable[[SweepPoint], object]] = None,
-    ):
-        """Run the grid and feed the points straight into an
-        :class:`~repro.experiments.common.ExperimentResult` (one row per
-        scenario, labeled by scenario, paper value looked up by label)."""
-        # Imported lazily: experiments depend on scenarios, not vice versa.
-        from ..experiments.common import ExperimentResult
-
-        value = value if value is not None else (lambda p: p.queries_per_second)
-        paper = paper or {}
-        # Axes the base label omits (GPU, seq_len) must appear in it when
-        # the grid sweeps them, or rows (and paper lookups) would collide.
-        multi_gpu = len({s.gpu_spec for s in grid}) > 1
-        multi_seq = len({s.resolved_seq_len for s in grid}) > 1
-        labels = [s.label(include_gpu=multi_gpu, include_seq_len=multi_seq) for s in grid]
-        # Remaining collisions (overrides axis, same-family model variants)
-        # fall back to fully qualified labels, and — for variants even a
-        # qualified label cannot tell apart, e.g. scaled() configs sharing
-        # a name — to positional suffixes.
-        if len(set(labels)) != len(set(grid)):
-            labels = [s.qualified_label() for s in grid]
-            if len(set(labels)) != len(set(grid)):
-                labels = [f"{label}#{i}" for i, label in enumerate(labels)]
-        result = ExperimentResult(experiment_id, title)
-        for point, label in zip(self.run(grid), labels):
-            result.add(label, value(point), paper.get(label))
-        return result

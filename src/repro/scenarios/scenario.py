@@ -184,19 +184,6 @@ class Scenario:
             parts.append(self.gpu_spec.name)
         return "_".join(parts)
 
-    def qualified_label(self) -> str:
-        """A fully qualified label spelling out every axis (model name
-        rather than family, seq_len, GPU, overrides). Distinct scenarios
-        always get distinct qualified labels."""
-        parts = [self.config.name]
-        if self.dataset:
-            parts.append(self.dataset)
-        parts.append(self.density_tag)
-        parts.append(f"L{self.resolved_seq_len}")
-        parts.append(self.gpu_spec.name)
-        parts.extend(f"{key}={value}" for key, value in self.overrides)
-        return "_".join(parts)
-
     # ------------------------------------------------------------------
     # Derived quantities / variants
     # ------------------------------------------------------------------

@@ -74,11 +74,14 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
         self._send(status, dumps({"error": message}, indent=2), close)
 
     def _read_body(self) -> bytes:
-        """The request body, read only when its declared length is in
-        ``[0, MAX_BODY_BYTES]``; a non-integer length raises ValueError."""
-        length = int(self.headers.get("Content-Length") or 0)
-        if length < 0:
-            raise RequestError("Content-Length must not be negative")
+        """The request body, read only when its declared length is a
+        string of ASCII digits (HTTP's ``1*DIGIT``) at most
+        ``MAX_BODY_BYTES``; any other length is a :class:`RequestError`
+        and the body is left unread."""
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            raise RequestError("Content-Length must be a non-negative integer")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise RequestError(
                 f"request body exceeds {MAX_BODY_BYTES} bytes", status=413

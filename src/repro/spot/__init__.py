@@ -25,9 +25,11 @@ package layers an explicit risk model on the cluster planner:
 
 The risk layer is pure post-processing over cached replica traces:
 sweeping spot markets and checkpoint cadences adds zero simulations.
+Cadence is not a scenario axis: the planner offers each candidate the
+Daly optimum or the ``checkpoint_minutes`` menu through
+:class:`CheckpointPolicy`.
 """
 
-from ..scenarios import ScenarioGrid, register_preset
 from .checkpoint import (
     CheckpointPolicy,
     DEFAULT_INTERVAL_MINUTES,
@@ -60,7 +62,6 @@ from .risk import (
     expected_preemptions,
     segment_lengths,
 )
-from .scenario import SpotScenario, spot_product
 
 __all__ = [
     "AnalyticMakespanDistribution",
@@ -78,7 +79,6 @@ __all__ = [
     "SpotCandidate",
     "SpotMarket",
     "SpotPlan",
-    "SpotScenario",
     "SpotSimulator",
     "checkpoint_state_gb",
     "expected_makespan_hours",
@@ -88,29 +88,5 @@ __all__ = [
     "restart_state_gb",
     "risk_pareto_frontier",
     "segment_lengths",
-    "spot_product",
 ]
 
-
-def _spot_scaling_grid() -> ScenarioGrid:
-    """The risk sweep's default grid: the ``cluster-scaling`` axes
-    (Mixtral QLoRA vs BlackMamba full fine-tuning on the A40, both
-    interconnects, 1-8 GPUs) crossed with three checkpoint cadences.
-    Every cadence shares its cluster point's replica trace, so this grid
-    simulates no more than ``cluster-scaling`` does."""
-    from ..cluster.planner import DEFAULT_INTERCONNECTS, DEFAULT_NUM_GPUS
-    from ..models.config import BLACKMAMBA_2_8B, MIXTRAL_8X7B
-
-    return spot_product(
-        models=(MIXTRAL_8X7B, BLACKMAMBA_2_8B),
-        gpus=("A40",),
-        batch_sizes=(4,),
-        seq_lens=(128,),
-        num_gpus=DEFAULT_NUM_GPUS,
-        interconnects=DEFAULT_INTERCONNECTS,
-        checkpoint_minutes=(10.0, 30.0, 60.0),
-    )
-
-
-# Idempotent across reloads, like the cluster preset.
-register_preset("spot-scaling", _spot_scaling_grid, overwrite=True)

@@ -2,11 +2,15 @@
 cache accounting, sweep determinism, and regression equivalence of the
 refactored experiments against the seed (direct-simulator) path."""
 
+import ast
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+from repro.devtools.framework import FileContext, module_name_for
+from repro.devtools.rules import ImportMap
 from repro.experiments import fig8_throughput, report, table3_maxbatch
 from repro.gpu import A40, A100_80, GPUSimulator
 from repro.memory import max_batch_size
@@ -18,9 +22,6 @@ from repro.scenarios import (
     SweepRunner,
     default_cache,
     freeze_overrides,
-    preset,
-    preset_names,
-    register_preset,
 )
 
 
@@ -119,77 +120,6 @@ class TestScenarioGrid:
         grid = ScenarioGrid.batch_sweep(MIXTRAL_8X7B, A40, seq_len=4096, dense=True)
         assert [s.batch_size for s in grid] == [1]
 
-    def test_presets(self):
-        assert {"fig8", "table3", "a40-profiling-grid"} <= set(preset_names())
-        assert len(preset("fig8")) == 18
-        assert preset("table3").labels()[0] == "mixtral_commonsense15k_D1"
-        with pytest.raises(KeyError):
-            preset("nope")
-        with pytest.raises(ValueError):
-            register_preset("fig8", lambda: ScenarioGrid())
-
-    def test_profiling_grid_preset_covers_fig4_points(self):
-        from repro.experiments.fig4_stages import BLACKMAMBA_POINTS, MIXTRAL_POINTS
-
-        grid = preset("profiling-grid")
-        assert len(grid) == len(MIXTRAL_POINTS) + len(BLACKMAMBA_POINTS)
-        by_family = {}
-        for s in grid:
-            by_family.setdefault(s.config.family, set()).add((s.dense, s.batch_size))
-            assert s.resolved_seq_len == 128 and s.gpu_spec is A40
-        assert by_family["mixtral"] == set(MIXTRAL_POINTS)
-        assert by_family["blackmamba"] == set(BLACKMAMBA_POINTS)
-
-    def test_table4_cost_preset_is_the_calibration_sweep(self):
-        from repro.memory import EFFECTIVE_SEQ_LEN
-
-        grid = preset("table4-cost")
-        assert {s.gpu_spec.name for s in grid} == {"A40", "A100-80GB", "H100-80GB"}
-        assert {s.dense for s in grid} == {True, False}
-        assert all(s.resolved_seq_len == EFFECTIVE_SEQ_LEN["gsm8k"] for s in grid)
-        # Each (gpu, density) cell sweeps 1..max consecutively.
-        for gpu in ("A40",):
-            sparse = [s.batch_size for s in grid
-                      if s.gpu_spec.name == gpu and not s.dense]
-            assert sparse == list(range(1, len(sparse) + 1))
-
-    def test_fig13_projection_preset_shape(self):
-        grid = preset("fig13-projection")
-        assert len(grid) == 2 * 4 * 4 * 2  # models x gpus x seq_lens x densities
-        assert all(s.batch_size == 1 for s in grid)
-
-    def test_cluster_scaling_preset_resolves_lazily(self):
-        # Registered by repro.cluster at import time; preset() pulls the
-        # package in on first miss.
-        assert len(preset("cluster-scaling")) == 16
-
-    def test_preset_import_failure_does_not_mask_other_subsystems(self, monkeypatch):
-        """Regression: the lazy import loop used to abort on the first
-        failing subsystem, making every *other* subsystem's presets
-        unreachable too. Each subsystem now imports independently, and
-        the original failure only surfaces if the preset stays missing."""
-        import importlib
-
-        from repro.scenarios import grid as grid_mod
-
-        registered = {}
-        monkeypatch.setattr(grid_mod, "_PRESETS", registered)
-
-        def fake_import(name, *args, **kwargs):
-            if name == "repro.experiments":
-                raise ImportError("experiments subsystem is broken")
-            if name == "repro.cluster":
-                registered["cluster-sentinel"] = lambda: ScenarioGrid()
-            return None
-
-        monkeypatch.setattr(importlib, "import_module", fake_import)
-        # The cluster presets resolve despite the experiments failure...
-        assert len(grid_mod.preset("cluster-sentinel")) == 0
-        # ...and a genuinely missing preset raises KeyError carrying the
-        # import failure as context, not the ImportError itself.
-        with pytest.raises(KeyError) as excinfo:
-            grid_mod.preset("definitely-missing")
-        assert "experiments subsystem is broken" in str(excinfo.value)
 
 
 class TestSimulationCache:
@@ -331,7 +261,7 @@ class TestSweepRunner:
         dense=(True, False), batch_sizes=(1, 2, 3, 4),
     )
 
-    def test_parallel_matches_serial_in_order_and_values(self):
+    def test_warm_rerun_matches_cold_in_order_and_values(self):
         """A cold sweep and its warm rerun return the grid in order with
         equal values."""
         runner = SweepRunner(cache=SimulationCache())
@@ -374,64 +304,6 @@ class TestSweepRunner:
         assert stats.misses == stats.simulations == len(self.GRID)
         assert stats.hits == (threads_n - 1) * len(self.GRID)
 
-    def test_to_result_feeds_rows(self):
-        result = SweepRunner(cache=SimulationCache()).to_result(
-            "demo", "demo sweep", self.GRID[:2], paper={"blackmamba_D1": 2.3}
-        )
-        assert result.experiment_id == "demo"
-        assert [r.label for r in result.rows] == ["blackmamba_D1", "blackmamba_D2"]
-        assert result.rows[0].paper == 2.3
-
-    def test_to_result_disambiguates_multi_gpu_grids(self):
-        grid = ScenarioGrid.product(
-            models=(BLACKMAMBA_2_8B,), gpus=(A40, A100_80), seq_lens=(64,),
-            batch_sizes=(1,),
-        )
-        result = SweepRunner(cache=SimulationCache()).to_result("demo", "t", grid)
-        labels = [r.label for r in result.rows]
-        assert labels == ["blackmamba_S1_A40", "blackmamba_S1_A100-80GB"]
-        assert len(set(labels)) == len(labels)
-
-    def test_to_result_disambiguates_seq_len_sweeps(self):
-        grid = ScenarioGrid.product(
-            models=(BLACKMAMBA_2_8B,), gpus=(A40,), seq_lens=(64, 128),
-            batch_sizes=(1,),
-        )
-        result = SweepRunner(cache=SimulationCache()).to_result("demo", "t", grid)
-        labels = [r.label for r in result.rows]
-        assert labels == ["blackmamba_S1_L64", "blackmamba_S1_L128"]
-        assert len(set(labels)) == len(labels)
-
-    def test_to_result_falls_back_to_qualified_labels(self):
-        # An overrides axis and a same-family model variant both collide
-        # under the base label; to_result must emit qualified labels.
-        base = ScenarioGrid.product(models=(MIXTRAL_8X7B,), gpus=(A40,),
-                                    seq_lens=(64,), batch_sizes=(1,))
-        ablation = base + base.map(lambda s: s.with_(overrides={"quantized": False}))
-        labels = [
-            r.label
-            for r in SweepRunner(cache=SimulationCache()).to_result("demo", "t", ablation).rows
-        ]
-        assert len(set(labels)) == 2
-        assert any("quantized=False" in label for label in labels)
-
-        # Renamed variant: qualified labels (model name) disambiguate.
-        variants = base + base.map(
-            lambda s: s.with_(model=MIXTRAL_8X7B.scaled(num_layers=16, name="mixtral-16L"))
-        )
-        labels = [
-            r.label
-            for r in SweepRunner(cache=SimulationCache()).to_result("demo", "t", variants).rows
-        ]
-        assert len(set(labels)) == 2
-        # Unnamed variant (same name, different config): positional
-        # suffixes keep rows distinct.
-        unnamed = base + base.map(lambda s: s.with_(model=MIXTRAL_8X7B.scaled(num_layers=16)))
-        labels = [
-            r.label
-            for r in SweepRunner(cache=SimulationCache()).to_result("demo", "t", unnamed).rows
-        ]
-        assert len(set(labels)) == 2
 
 
 class TestRegressionAgainstSeed:
@@ -461,7 +333,7 @@ class TestRegressionAgainstSeed:
         result = fig8_throughput.run(cache=SimulationCache())
         assert [(r.label, r.measured) for r in result.rows[: len(seed_rows)]] == seed_rows
 
-    def test_fig8_parallel_identical(self):
+    def test_fig8_warm_rerun_identical(self):
         """Fig. 8 on a cold cache and again on the warm one is identical."""
         cache = SimulationCache()
         cold = fig8_throughput.run(cache=cache)
@@ -511,3 +383,63 @@ class TestWarmReport:
         assert {"fig8", "table3", "table4", "fig14", "fig15"} <= ids
         assert decoded["skipped"] == ["fig3", "fig11"]
         assert decoded["cache"]["misses"] >= 0
+
+
+# Layers built on the scenario engine; the engine must import none of them.
+ABOVE_ENGINE = (
+    "repro.experiments",
+    "repro.cluster",
+    "repro.spot",
+    "repro.service",
+    "repro.planning",
+)
+
+
+def upward_imports(path: Path, source: str):
+    """``(line, target)`` for each import in ``source`` (the file at
+    ``path``) that reaches a layer in :data:`ABOVE_ENGINE`, at module
+    level or inside a function, absolute or relative, and for each
+    dynamic import call."""
+    tree = ast.parse(source)
+    ctx = FileContext(str(path), source, tree, module_name_for(path))
+    found = [
+        (node.lineno, target)
+        for target, node in ImportMap(ctx).imported_modules(ctx)
+        if any(target == layer or target.startswith(layer + ".") for layer in ABOVE_ENGINE)
+    ]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("import_module", "__import__"):
+                found.append((node.lineno, name))
+    return found
+
+
+class TestEngineLayering:
+    def test_engine_imports_nothing_above_it(self):
+        import repro.scenarios
+
+        root = Path(repro.scenarios.__file__).parent
+        offences = {}
+        for path in sorted(root.rglob("*.py")):
+            found = upward_imports(path, path.read_text(encoding="utf-8"))
+            if found:
+                offences[path.name] = found
+        assert offences == {}
+
+    def test_guard_sees_every_import_form(self):
+        caught = [
+            "import repro.cluster.planner",
+            "from repro.spot import SpotPlan",
+            "from ..experiments.common import ExperimentResult",
+            "from .. import service",
+            "from ..planning import FIELDS",
+            "def late():\n    from ..cluster import ClusterScenario",
+            "import importlib\nimportlib.import_module('repro.gpu')",
+        ]
+        module = Path("src/repro/scenarios/snippet.py")
+        for source in caught:
+            assert upward_imports(module, source), source
+        clean = "from ..gpu.trace import StepTrace\nfrom ..telemetry.tracer import Tracer\n"
+        assert upward_imports(module, clean) == []

@@ -664,3 +664,28 @@ class TestHTTP:
                 assert "error" in json.loads(response.read())
                 assert sock.recv(1) == b""  # the server hung up
         assert service.stats_payload()["requests"]["total"] == 0
+
+    @pytest.mark.parametrize("declared", ["abc", "1_0", "+2"])
+    def test_non_integer_content_length_closes_the_connection(self, served, declared):
+        """A Content-Length that is not a plain digit string is a 400
+        naming the header, and the connection closes: the body's extent
+        is unknown, so a request pipelined behind it must not be parsed."""
+        base, service, _events, _runs = served
+        host, port = base[len("http://"):].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(
+                f"POST /plan/cluster HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {declared}\r\n\r\n{{}}"
+                f"GET /healthz HTTP/1.1\r\nHost: {host}\r\n\r\n".encode("ascii")
+            )
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 400
+            assert response.getheader("Connection") == "close"
+            assert "Content-Length" in json.loads(response.read())["error"]
+            try:
+                rest = sock.recv(1)
+            except ConnectionResetError:  # closed with the pipelined bytes unread
+                rest = b""
+            assert rest == b""  # no answer to the pipelined GET
+        assert service.stats_payload()["requests"]["total"] == 0

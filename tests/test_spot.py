@@ -10,7 +10,7 @@ from repro.cluster import ClusterPlanner
 from repro.gpu import A40, H100
 from repro.models import MIXTRAL_8X7B
 from repro.models.config import BLACKMAMBA_2_8B
-from repro.scenarios import SimulationCache, preset, preset_names
+from repro.scenarios import SimulationCache
 from repro.spot import (
     AnalyticMakespanDistribution,
     CheckpointPolicy,
@@ -18,7 +18,6 @@ from repro.spot import (
     RiskAdjustedPlanner,
     SPOT,
     SpotMarket,
-    SpotScenario,
     SpotSimulator,
     checkpoint_state_gb,
     expected_makespan_hours,
@@ -26,7 +25,6 @@ from repro.spot import (
     get_spot_market,
     restart_state_gb,
     segment_lengths,
-    spot_product,
 )
 from repro.spot.plan import main as plan_main
 
@@ -445,57 +443,6 @@ class TestAnalyticMakespanDistribution:
             ana.percentile(1.5)
 
 
-class TestSpotScenarioAndPreset:
-    def scenario(self, minutes=30.0, n=4, link="nvlink"):
-        return SpotScenario(
-            model=MIXTRAL_8X7B, gpu="A40", batch_size=4, seq_len=128,
-            num_gpus=n, interconnect=link, checkpoint_minutes=minutes,
-        )
-
-    def test_cadence_axis_excluded_from_trace_key(self):
-        """All cadences of one cluster point share one cached trace."""
-        keys = {self.scenario(minutes=m).key() for m in (10.0, 30.0, 60.0)}
-        assert len(keys) == 1
-        cluster_keys = {self.scenario(minutes=m).cluster_key() for m in (10.0, 30.0)}
-        assert len(cluster_keys) == 1
-        spot_keys = {self.scenario(minutes=m).spot_key() for m in (10.0, 30.0)}
-        assert len(spot_keys) == 2
-
-    def test_labels_carry_the_cadence(self):
-        s = self.scenario(minutes=15.0, n=8)
-        assert s.label().endswith("_x8_NVLink_ck15m")
-        assert "_ck15m" in s.qualified_label()
-
-    def test_invalid_cadence(self):
-        with pytest.raises(ValueError):
-            self.scenario(minutes=0.0)
-
-    def test_spot_scaling_preset_round_trip(self):
-        assert "spot-scaling" in preset_names()
-        grid = preset("spot-scaling")
-        assert len(grid) == 48  # cluster-scaling's 16 cells x 3 cadences
-        assert all(isinstance(s, SpotScenario) for s in grid)
-        # Round trip: rebuilding the preset yields the identical grid.
-        assert preset("spot-scaling") == grid
-        # The cadence axis adds no replica traces over cluster-scaling.
-        assert {s.key() for s in grid} == {s.key() for s in preset("cluster-scaling")}
-
-    def test_preset_simulates_nothing_beyond_cluster_scaling(self):
-        cache = SimulationCache()
-        for s in preset("spot-scaling"):
-            cache.simulate(s)
-        assert cache.stats().misses == len({s.key() for s in preset("spot-scaling")})
-
-    def test_spot_product_cadence_innermost(self):
-        grid = spot_product(
-            models=(MIXTRAL_8X7B,), gpus=("A40",), seq_lens=(128,),
-            num_gpus=(1, 2), checkpoint_minutes=(10.0, 30.0),
-        )
-        assert [(s.num_gpus, s.checkpoint_minutes) for s in grid] == [
-            (1, 10.0), (1, 30.0), (2, 10.0), (2, 30.0)
-        ]
-
-
 class TestRiskAdjustedPlanner:
     def _planner(self, cache=None, **kw):
         kw.setdefault("dataset", "math14k")
@@ -651,18 +598,23 @@ class TestRiskAdjustedPlanner:
         assert any(c.tier == ONDEMAND for c in plan.candidates)
         assert any("no spot tier" in reason for reason in plan.excluded)
 
-    def test_risk_sweep_adds_zero_simulations(self):
+    @pytest.mark.parametrize(
+        "checkpoint_minutes", [None, (10.0, 30.0, 60.0)], ids=["daly", "menu"]
+    )
+    def test_risk_sweep_adds_zero_simulations(self, checkpoint_minutes):
         """The risk layer is post-processing: a risk plan on a cache
-        warmed by the plain cluster planner simulates nothing."""
+        warmed by the plain cluster planner simulates nothing, whether
+        each candidate gets the Daly cadence or a three-cadence menu."""
         cache = SimulationCache()
         kwargs = dict(gpus=(A40,), providers=("cudo",), densities=(False,))
         ClusterPlanner("mixtral-8x7b", dataset="math14k", cache=cache).plan(**kwargs)
         misses = cache.stats().misses
-        plan = self._plan(self._planner(cache=cache), **kwargs)
+        planner = self._planner(cache=cache, checkpoint_minutes=checkpoint_minutes)
+        plan = self._plan(planner, **kwargs)
         assert cache.stats().misses == misses
         assert plan.spot_candidates
 
-    def test_jobs_do_not_change_the_plan(self):
+    def test_repeat_plans_are_identical(self):
         """A cold plan, its warm repeat on the same cache and a plan on
         a fresh cache are identical: the sweep has one execution path."""
         cache = SimulationCache()
@@ -696,7 +648,7 @@ class TestRiskAdjustedPlanner:
         assert plan.spot_candidates
 
     def test_analytic_serves_mc_validates_within_tolerance(self):
-        """Acceptance: on the spot-scaling cadence menu the analytic
+        """Acceptance: on a 10/30/60-minute cadence menu the analytic
         percentiles stay within the documented 5% of the 512-trial
         Monte Carlo, candidate by candidate."""
         kwargs = dict(checkpoint_minutes=(10.0, 30.0, 60.0))
@@ -790,7 +742,7 @@ class TestSpotPlanCLI:
             assert c["p95_hours"] == pytest.approx(c["ondemand_hours"])
         assert payload["ondemand_frontier"]  # the PR 2 view rides along
 
-    def test_output_deterministic_and_jobs_independent(self, capsys):
+    def test_repeat_runs_print_identical_output(self, capsys):
         assert plan_main(self.ACCEPTANCE) == 0
         first = capsys.readouterr().out
         assert plan_main(self.ACCEPTANCE) == 0
@@ -818,7 +770,7 @@ class TestSpotPlanCLI:
         payload = self._payload(capsys, self.ACCEPTANCE)
         assert payload["risk_mode"] == "analytic"
 
-    def test_risk_mode_mc_byte_identical_across_jobs(self, capsys):
+    def test_risk_mode_mc_byte_identical_across_runs(self, capsys):
         """Acceptance: the batched Monte Carlo is seeded per candidate,
         so repeat --risk-mode mc runs are byte-identical."""
         argv = self.ACCEPTANCE + ["--risk-mode", "mc"]

@@ -376,7 +376,7 @@ class TestDeterminism:
         events.append(manifest)
         return events
 
-    def test_compare_verdict_stable_across_jobs(self):
+    def test_compare_verdict_stable_across_warm_runs(self):
         """The regression gate must not flip between two warm runs of
         the same sweep: warm phases sit below the absolute noise floor
         and the engine counters depend only on the work, so the pair
